@@ -82,6 +82,13 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise MalformedInputError(f"cannot parse integer list {text!r}") from exc
 
 
+def _budget(text: str) -> int:
+    """argparse type for --limit-nodes: an integer >= 0, else a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _parse_labels(text: str) -> list[str]:
     labels = [part.strip() for part in text.split(",") if part.strip()]
     if not labels:
@@ -93,8 +100,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     if args.limit_nodes is not None:
         cfg.node_budget = args.limit_nodes
-    if args.seed is not None:
-        cfg.seed = args.seed
     if getattr(args, "strict", False):
         cfg.strict = True
     return cfg
@@ -143,13 +148,11 @@ def cmd_validate(args, cfg: RunConfig, report: Report) -> int:
 def cmd_gh(args, cfg: RunConfig, report: Report) -> int:
     X = _load(report, args.x)
     Y = _load(report, args.y)
-    method = {"bnb": "branch_and_bound"}.get(args.method, args.method)
-    res = gh_exact(X, Y, method=method, limits=cfg.limits())
+    res = gh_exact(X, Y, limits=cfg.limits())
     pairs = correspondence_to_jsonable(res.optimal, X, Y)
     report.results = {
         "distance": frac_str(res.distance),
         "distortion": frac_str(2 * res.distance),
-        "method": res.method,
         "nx": X.n,
         "ny": Y.n,
         "correspondence": pairs,
@@ -362,9 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (RunConfig keys)")
     common.add_argument(
-        "--limit-nodes", type=int, default=None, help="solver node budget"
+        "--limit-nodes", type=_budget, default=None, help="solver node budget"
     )
-    common.add_argument("--seed", type=int, default=None, help="seed echoed in reports")
     common.add_argument(
         "--strict", action="store_true", help="strict admissibility validation"
     )
@@ -387,8 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y")
     p.add_argument(
         "--method",
-        choices=["auto", "exhaustive", "bnb", "branch_and_bound"],
+        choices=["auto", "bnb", "branch_and_bound"],
         default="auto",
+        help="accepted for compatibility and ignored: there is one solver",
     )
     p.add_argument("--emit-correspondence", metavar="PATH")
     p.set_defaults(handler=cmd_gh)

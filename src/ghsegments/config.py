@@ -22,26 +22,20 @@ __all__ = ["RunConfig"]
 
 @dataclass
 class RunConfig:
-    enumeration_cap: int = 20
-    bnb_max_side: int = 10
-    auto_exhaustive_cells: int = 16
-    node_budget: int | None = None
+    bnb_max_side: int = SolverLimits.bnb_max_side
+    node_budget: int | None = SolverLimits.node_budget
     sample_grid: tuple = DEFAULT_GRID
     delta: Fraction | None = None
     mu: Fraction | None = None
     ms: tuple = (2, 3, 4)
     m_max: int = 5
     strict: bool = False
-    seed: int = 0
     out: str | None = None
     out_dir: str | None = None
 
     def limits(self) -> SolverLimits:
         return SolverLimits(
-            enumeration_cap=self.enumeration_cap,
-            bnb_max_side=self.bnb_max_side,
-            auto_exhaustive_cells=self.auto_exhaustive_cells,
-            node_budget=self.node_budget,
+            bnb_max_side=self.bnb_max_side, node_budget=self.node_budget
         )
 
     @classmethod
@@ -63,13 +57,7 @@ class RunConfig:
             )
         cfg = cls()
         for key, value in obj.items():
-            if key in ("delta", "mu") and value is not None:
-                value = as_fraction(value)
-            elif key == "sample_grid":
-                value = tuple(as_fraction(v) for v in value)
-            elif key == "ms":
-                value = tuple(int(v) for v in value)
-            setattr(cfg, key, value)
+            setattr(cfg, key, _checked(key, value))
         return cfg
 
     def to_jsonable(self) -> dict:
@@ -82,3 +70,40 @@ class RunConfig:
                 v = [str(x) if isinstance(x, Fraction) else x for x in v]
             out[f.name] = v
         return out
+
+
+def _checked(key: str, value):
+    """A config file value, type- and range-checked, in RunConfig's form."""
+    if key == "bnb_max_side" or key == "m_max":
+        return _int_at_least(key, value, 1)
+    if key == "node_budget":
+        return None if value is None else _int_at_least(key, value, 0)
+    if key == "ms":
+        return tuple(_int_at_least(key, v, 1) for v in _list(key, value))
+    if key == "sample_grid":
+        return tuple(as_fraction(v) for v in _list(key, value))
+    if key in ("delta", "mu"):
+        return None if value is None else as_fraction(value)
+    if key == "strict":
+        if not isinstance(value, bool):
+            raise MalformedInputError(
+                f"config {key} must be true or false, got {value!r}"
+            )
+        return value
+    if value is not None and not isinstance(value, str):  # out, out_dir
+        raise MalformedInputError(f"config {key} must be a path or null, got {value!r}")
+    return value
+
+
+def _int_at_least(key: str, value, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise MalformedInputError(
+            f"config {key} must be an integer >= {least}, got {value!r}"
+        )
+    return value
+
+
+def _list(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise MalformedInputError(f"config {key} must be a list, got {value!r}")
+    return value

@@ -193,8 +193,8 @@ def enumerate_correspondences(nx: int, ny: int, cap: int = ENUMERATION_CAP) -> I
 
     Walks all subsets of the nx*ny product cells in ascending bitmask
     order (cell index x*ny + y) and keeps the doubly onto ones. Refuses
-    when nx*ny exceeds the cap; gh_exact(method="branch_and_bound")
-    handles larger instances without enumeration.
+    when nx*ny exceeds the cap; gh_exact handles larger instances
+    without enumeration.
     """
     if nx < 1 or ny < 1:
         raise DomainError("spaces must be non-empty")
@@ -202,7 +202,7 @@ def enumerate_correspondences(nx: int, ny: int, cap: int = ENUMERATION_CAP) -> I
     if cells > cap:
         raise ResourceLimitError(
             f"{nx} x {ny} has {cells} cells, above the enumeration cap {cap}; "
-            "use gh_exact(method='branch_and_bound') instead"
+            "use gh_exact instead"
         )
     cell_pair = [(c // ny, c % ny) for c in range(cells)]
     full_rows = (1 << nx) - 1

@@ -2,19 +2,13 @@
 
     d_GH(X, Y) = (1/2) * min { dis R : R a correspondence X <-> Y }
 
-Two certified-exact methods:
-
-* exhaustive: scans every subset of the nx*ny product cells, keeping the
-  doubly onto ones. Distortions for all subsets come out of a max-DP over
-  the subset lattice, run on integers after clearing denominators.
-* branch_and_bound: assigns each row (a point of the larger space, taken
-  in decreasing eccentricity order) a non-empty subset of the other
-  space, pruning any partial assignment whose distortion already ties
-  the incumbent. The incumbent starts at the full product correspondence
-  or at a caller-supplied one.
-
-All arithmetic is exact; results agree between methods by construction
-and by test.
+One certified-exact search, branch and bound: it assigns each row (a
+point of the larger space, taken in decreasing eccentricity order) a
+non-empty subset of the other space, pruning any partial assignment
+whose distortion already ties the incumbent. The incumbent starts at the
+full product correspondence or at a caller-supplied one. All arithmetic
+is on integers after clearing denominators, and every returned witness
+is re-checked in Fraction arithmetic before it leaves gh_exact.
 """
 
 from __future__ import annotations
@@ -23,25 +17,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .correspondences import Correspondence, distortion, full_product
-from .exceptions import DomainError, ResourceLimitError
+from .correspondences import Correspondence, distortion
+from .exceptions import DomainError, ResourceLimitError, ToolkitError
 from .spaces import FiniteMetricSpace, diameter
 
 __all__ = ["SolverLimits", "GhResult", "gh_exact", "gh_lower_bound"]
 
-# scaled integers above this go through the big-int path instead of int64
-_INT64_SAFE = 1 << 58
-
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Size caps and budget; all overridable per call."""
+    """Size cap and budget; both overridable per call."""
 
-    enumeration_cap: int = 20  # max nx*ny cells for method="exhaustive"
-    bnb_max_side: int = 10  # max(nx, ny) for method="branch_and_bound"
-    auto_exhaustive_cells: int = 16  # "auto" prefers enumeration up to here
+    bnb_max_side: int = 10  # max(nx, ny), unless one space is a single point
     node_budget: int | None = None
 
 
@@ -50,7 +37,6 @@ class GhResult:
     distance: Fraction
     optimal: Correspondence
     nodes_explored: int
-    method: str  # "exhaustive" | "branch_and_bound"
 
 
 def _scaled_pair(X: FiniteMetricSpace, Y: FiniteMetricSpace):
@@ -89,80 +75,25 @@ def _refusal_bounds(X, Y):
 def gh_exact(
     X: FiniteMetricSpace,
     Y: FiniteMetricSpace,
-    method: str = "auto",
     limits: SolverLimits | None = None,
     initial: Correspondence | None = None,
 ) -> GhResult:
     """Exact d_GH(X, Y) with a witness correspondence.
 
-    method "auto" enumerates exhaustively for small products and
-    branches-and-bounds otherwise. An optional initial correspondence
-    seeds the branch-and-bound incumbent; it never changes the returned
-    distance, only the amount of search needed to certify it.
+    An optional initial correspondence seeds the search's incumbent; it
+    never changes the returned distance, only the amount of search
+    needed to certify it.
     """
     limits = limits or SolverLimits()
     if initial is not None and (initial.nx != X.n or initial.ny != Y.n):
         raise DomainError("initial correspondence has the wrong shape")
-    cells = X.n * Y.n
-    if method == "auto":
-        method = (
-            "exhaustive"
-            if cells <= min(limits.auto_exhaustive_cells, limits.enumeration_cap)
-            else "branch_and_bound"
+    result = _solve_bnb(X, Y, limits, initial)
+    # the witness must certify the value exactly; a mismatch is a solver bug
+    if distortion(X, Y, result.optimal) != 2 * result.distance:
+        raise ToolkitError(
+            f"witness distortion does not certify d_GH = {result.distance}"
         )
-    if method == "exhaustive":
-        result = _solve_exhaustive(X, Y, limits)
-    elif method in ("branch_and_bound", "bnb"):
-        result = _solve_bnb(X, Y, limits, initial)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    # the witness must certify the value exactly
-    assert distortion(X, Y, result.optimal) == 2 * result.distance
     return result
-
-
-# ---------------------------------------------------------------- exhaustive
-
-
-def _solve_exhaustive(X, Y, limits: SolverLimits) -> GhResult:
-    nx, ny = X.n, Y.n
-    cells = nx * ny
-    if cells > limits.enumeration_cap:
-        lower, upper = _refusal_bounds(X, Y)
-        raise ResourceLimitError(
-            f"{nx} x {ny} has {cells} cells, above the enumeration cap "
-            f"{limits.enumeration_cap}",
-            lower=lower,
-            upper=upper,
-        )
-    size = 1 << cells
-    if limits.node_budget is not None and size - 1 > limits.node_budget:
-        lower, upper = _refusal_bounds(X, Y)
-        raise ResourceLimitError(
-            f"enumeration needs {size - 1} subsets, above the node budget",
-            lower=lower,
-            upper=upper,
-        )
-    dx, dy, scale = _scaled_pair(X, Y)
-    biggest = max(max(max(r) for r in dx), max(max(r) for r in dy))
-    if biggest < _INT64_SAFE:
-        best, cand_iter = _lattice_dp_numpy(dx, dy, nx, ny)
-    else:
-        best, cand_iter = _lattice_dp_bigint(dx, dy, nx, ny)
-    # lowest pair set among the optima, comparing sorted cell tuples
-    best_cells = None
-    for mask in cand_iter:
-        cs = _mask_cells(int(mask))
-        if best_cells is None or cs < best_cells:
-            best_cells = cs
-    assert best_cells is not None
-    pairs = frozenset((c // ny, c % ny) for c in best_cells)
-    return GhResult(
-        distance=Fraction(best, 2 * scale),
-        optimal=Correspondence(pairs, nx, ny),
-        nodes_explored=size - 1,
-        method="exhaustive",
-    )
 
 
 def _mask_cells(mask: int) -> tuple[int, ...]:
@@ -172,92 +103,6 @@ def _mask_cells(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def _cell_costs(dx, dy, nx, ny):
-    """|dx - dy| between all product cells; cell index c = x*ny + y."""
-    ax = np.array(dx, dtype=np.int64)
-    ay = np.array(dy, dtype=np.int64)
-    ex = np.repeat(np.repeat(ax, ny, axis=0), ny, axis=1)
-    ey = np.tile(ay, (nx, nx))
-    return np.abs(ex - ey)
-
-
-def _lattice_dp_numpy(dx, dy, nx, ny):
-    cells = nx * ny
-    size = 1 << cells
-    cost = _cell_costs(dx, dy, nx, ny)
-    dis = np.zeros(size, dtype=np.int64)
-    scratch = np.empty(size, dtype=np.int64)
-    for j in range(cells):
-        scratch[:] = 0
-        row = cost[j]
-        for k in range(cells):
-            if k == j or row[k] == 0:
-                continue
-            view = scratch.reshape(-1, 1 << (k + 1))[:, 1 << k :]
-            np.maximum(view, row[k], out=view)
-        dv = dis.reshape(-1, 1 << (j + 1))[:, 1 << j :]
-        sv = scratch.reshape(-1, 1 << (j + 1))[:, 1 << j :]
-        np.maximum(dv, sv, out=dv)
-    rowc = np.zeros(size, dtype=np.int32)
-    colc = np.zeros(size, dtype=np.int32)
-    for c in range(cells):
-        rv = rowc.reshape(-1, 1 << (c + 1))[:, 1 << c :]
-        cv = colc.reshape(-1, 1 << (c + 1))[:, 1 << c :]
-        np.bitwise_or(rv, 1 << (c // ny), out=rv)
-        np.bitwise_or(cv, 1 << (c % ny), out=cv)
-    valid = (rowc == (1 << nx) - 1) & (colc == (1 << ny) - 1)
-    best = int(dis[valid].min())
-    cand = np.nonzero(valid & (dis == best))[0]
-    return best, cand
-
-
-def _lattice_dp_bigint(dx, dy, nx, ny):
-    """Big-int fallback for distances whose cleared form exceeds int64."""
-    cells = nx * ny
-    size = 1 << cells
-    cost = [
-        [
-            abs(dx[c1 // ny][c2 // ny] - dy[c1 % ny][c2 % ny])
-            for c2 in range(cells)
-        ]
-        for c1 in range(cells)
-    ]
-    row_bit = [1 << (c // ny) for c in range(cells)]
-    col_bit = [1 << (c % ny) for c in range(cells)]
-    dis = [0] * size
-    rowc = [0] * size
-    colc = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        c = low.bit_length() - 1
-        rest = s ^ low
-        m = dis[rest]
-        row = cost[c]
-        t = rest
-        while t:
-            lb = t & -t
-            v = row[lb.bit_length() - 1]
-            if v > m:
-                m = v
-            t ^= lb
-        dis[s] = m
-        rowc[s] = rowc[rest] | row_bit[c]
-        colc[s] = colc[rest] | col_bit[c]
-    full_r, full_c = (1 << nx) - 1, (1 << ny) - 1
-    best = None
-    for s in range(1, size):
-        if rowc[s] == full_r and colc[s] == full_c:
-            if best is None or dis[s] < best:
-                best = dis[s]
-    assert best is not None
-    cand = (
-        s
-        for s in range(1, size)
-        if rowc[s] == full_r and colc[s] == full_c and dis[s] == best
-    )
-    return best, cand
 
 
 # ---------------------------------------------------------- branch and bound
@@ -291,7 +136,9 @@ def _swap_classes(d: list[list[int]]) -> list[int]:
 
 
 def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> GhResult:
-    if max(X.n, Y.n) > limits.bnb_max_side:
+    # against one point the full product is the only correspondence, and
+    # its first row already ties it, so that search is a single node
+    if min(X.n, Y.n) > 1 and max(X.n, Y.n) > limits.bnb_max_side:
         lower, upper = _refusal_bounds(X, Y)
         raise ResourceLimitError(
             f"side {max(X.n, Y.n)} above the branch-and-bound cap "
@@ -358,9 +205,9 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
     def advance(pos, covered, val, M):
         """Row at pos just got chosen_cols[pos]; push bounds and recurse."""
         nonlocal nodes, best_val, best_pairs
-        nodes += 1
-        if budget is not None and nodes > budget:
+        if budget is not None and nodes >= budget:
             out_of_budget()
+        nodes += 1
         if pos == na - 1:
             if covered == full_cols and val < best_val:
                 best_val = val
@@ -476,5 +323,4 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
         distance=Fraction(best_val, 2 * scale),
         optimal=Correspondence(out_pairs, X.n, Y.n),
         nodes_explored=nodes,
-        method="branch_and_bound",
     )

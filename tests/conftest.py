@@ -8,10 +8,15 @@ matrices. Tests compare package output against them exactly.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, lcm
+from pathlib import Path
 
+import ghsegments
 from ghsegments import Correspondence, FiniteMetricSpace, random_metric_space
 
 Matrix = list[list[Fraction]]
@@ -100,3 +105,13 @@ def random_correspondence(rng: random.Random, nx: int, ny: int) -> Correspondenc
 
 def random_space(rng: random.Random, n: int) -> FiniteMetricSpace:
     return random_metric_space(n, seed=rng.randrange(10**9))
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's ghsegments."""
+    env = dict(os.environ)
+    src = str(Path(ghsegments.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )

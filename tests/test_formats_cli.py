@@ -20,7 +20,7 @@ from ghsegments import (
     space_to_jsonable,
 )
 from ghsegments.cli import main
-from tests.conftest import random_space
+from tests.conftest import random_space, run_python
 
 
 @pytest.fixture()
@@ -101,7 +101,6 @@ class TestCliBasics:
         assert code == 0
         res = json.loads(out)["results"]
         assert res["distance"] == "1/2"
-        assert res["method"] == "exhaustive"
         assert len(res["correspondence"]) >= 3
         assert "s]" in err  # wall time goes to stderr only
 
@@ -142,8 +141,16 @@ class TestCliBasics:
         assert json.loads(out)["results"]["value"] == "1"
 
     def test_usage_error_is_exit_2(self, capsys, spaces) -> None:
-        assert run(capsys, "gh", str(spaces["x"]))[0] == 2
+        x = str(spaces["x"])
+        assert run(capsys, "gh", x)[0] == 2
         assert run(capsys, "no-such-command")[0] == 2
+        for flags in (
+            ["--limit-nodes", "-5"],
+            ["--limit-nodes", "many"],
+            ["--seed", "1"],
+            ["--method", "exhaustive"],
+        ):
+            assert run(capsys, "gh", x, x, *flags)[0] == 2
 
     def test_missing_input_file_is_exit_3(self, capsys, tmp_path: Path) -> None:
         code, _, err = run(capsys, "gh", str(tmp_path / "nope.json"), str(tmp_path / "nope.json"))
@@ -156,6 +163,13 @@ class TestCliBasics:
         )
         assert code == 5
         assert "best bounds so far" in err
+
+    def test_cli_imports_no_numpy(self) -> None:
+        proc = run_python(
+            "-c", "import sys, ghsegments.cli; print('numpy' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestCliPipelines:
@@ -282,14 +296,49 @@ class TestCliDeterminism:
             capsys, "gh", str(spaces["x"]), str(spaces["y"]), "--config", str(cfg)
         )
         assert code == 5
+        every_key = {
+            "bnb_max_side": 12,
+            "node_budget": None,
+            "sample_grid": ["0", "1/2", "1"],
+            "delta": "1/4",
+            "mu": None,
+            "ms": [2, 3],
+            "m_max": 3,
+            "strict": True,
+            "out": None,
+            "out_dir": None,
+        }
+        cfg.write_text(json.dumps(every_key))
+        code, out, _ = run(
+            capsys, "gh", str(spaces["x"]), str(spaces["y"]), "--config", str(cfg)
+        )
+        assert code == 0
+        assert json.loads(out)["config"] == every_key
 
     def test_unknown_config_key_is_exit_3(self, capsys, spaces, tmp_path: Path) -> None:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"node_budgets": 2}))
-        code, _, _ = run(
-            capsys, "gh", str(spaces["x"]), str(spaces["x"]), "--config", str(cfg)
-        )
-        assert code == 3
+        for bad in (
+            {"node_budgets": 2},
+            {"enumeration_cap": "x"},
+            {"seed": 1},
+            {"bnb_max_side": 0},
+            {"bnb_max_side": "10"},
+            {"bnb_max_side": True},
+            {"node_budget": -1},
+            {"node_budget": 1.5},
+            {"m_max": 0},
+            {"ms": 3},
+            {"ms": [2, "3"]},
+            {"strict": "yes"},
+            {"sample_grid": "1/2"},
+            {"out": 7},
+        ):
+            cfg.write_text(json.dumps(bad))
+            code, _, err = run(
+                capsys, "gh", str(spaces["x"]), str(spaces["x"]), "--config", str(cfg)
+            )
+            assert code == 3, bad
+            assert "error:" in err
 
     def test_random_spaces_round_trip_through_cli(self, capsys, tmp_path: Path) -> None:
         rng = random.Random(606)

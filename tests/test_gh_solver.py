@@ -16,7 +16,13 @@ from ghsegments import (
     random_metric_space,
     simplex,
 )
-from tests.conftest import oracle_distortion, oracle_gh, random_space, rows
+from tests.conftest import (
+    oracle_distortion,
+    oracle_gh,
+    random_space,
+    rows,
+    run_python,
+)
 
 WIDE = SolverLimits(bnb_max_side=16)
 
@@ -32,8 +38,8 @@ class TestClosedForms:
         # only one correspondence exists and its distortion is diam X
         rng = random.Random(4)
         point = simplex(1, Fraction(1))
-        for _ in range(20):
-            X = random_space(rng, rng.randint(1, 8))
+        for n in range(1, 17):
+            X = random_space(rng, n)
             diam = max(max(r) for r in X.dist)
             assert gh_exact(point, X).distance == diam / 2
 
@@ -44,7 +50,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_scaled_simplices(self, n: int) -> None:
         lam, kap = Fraction(5, 3), Fraction(1, 2)
-        got = gh_exact(simplex(n, lam), simplex(n, kap), method="exhaustive")
+        got = gh_exact(simplex(n, lam), simplex(n, kap))
         assert got.distance == abs(lam - kap) / 2
 
     def test_scaled_one_point_simplices_coincide(self) -> None:
@@ -59,11 +65,7 @@ class TestOracleEquivalence:
             nx = rng.randint(1, 3)
             ny = rng.randint(1, 4)
             X, Y = random_space(rng, nx), random_space(rng, ny)
-            want = oracle_gh(rows(X), rows(Y))
-            a = gh_exact(X, Y, method="exhaustive")
-            b = gh_exact(X, Y, method="branch_and_bound")
-            assert a.distance == want
-            assert b.distance == want
+            assert gh_exact(X, Y).distance == oracle_gh(rows(X), rows(Y))
 
     def test_frozen_regression_pair(self) -> None:
         # oracle value for this seed pair, pinned
@@ -73,15 +75,31 @@ class TestOracleEquivalence:
 
     def test_witness_is_certified_optimal(self) -> None:
         rng = random.Random(99)
-        for method in ("exhaustive", "branch_and_bound"):
-            for _ in range(15):
-                X, Y = random_space(rng, rng.randint(1, 4)), random_space(rng, 4)
-                res = gh_exact(X, Y, method=method)
-                sigma = res.optimal
-                assert isinstance(sigma, Correspondence)
-                assert (sigma.nx, sigma.ny) == (X.n, Y.n)
-                dis = oracle_distortion(rows(X), rows(Y), sigma.sorted_pairs())
-                assert dis == 2 * res.distance
+        for _ in range(30):
+            X, Y = random_space(rng, rng.randint(1, 4)), random_space(rng, 4)
+            res = gh_exact(X, Y)
+            sigma = res.optimal
+            assert isinstance(sigma, Correspondence)
+            assert (sigma.nx, sigma.ny) == (X.n, Y.n)
+            dis = oracle_distortion(rows(X), rows(Y), sigma.sorted_pairs())
+            assert dis == 2 * res.distance
+
+    def test_wrong_witness_raises_under_python_O(self) -> None:
+        # -O strips asserts; the check that certifies a witness must stay
+        proc = run_python(
+            "-O",
+            "-c",
+            "import sys\n"
+            "import ghsegments.solver as s\n"
+            "from ghsegments import ToolkitError, random_metric_space as r\n"
+            "s.distortion = lambda X, Y, R: -1\n"
+            "try:\n"
+            "    s.gh_exact(r(3, seed=1), r(3, seed=2))\n"
+            "except ToolkitError as exc:\n"
+            "    print(sys.flags.optimize, type(exc).__name__)\n",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1 ToolkitError\n"
 
 
 class TestLowerBound:
@@ -105,32 +123,14 @@ class TestLowerBound:
 
 
 class TestDispatchAndDeterminism:
-    def test_auto_uses_enumeration_on_small_products(self) -> None:
-        X, Y = random_metric_space(4, seed=1), random_metric_space(4, seed=2)
-        assert gh_exact(X, Y).method == "exhaustive"
-
-    def test_auto_switches_to_search_above_threshold(self) -> None:
-        X, Y = random_metric_space(5, seed=1), random_metric_space(4, seed=2)
-        assert gh_exact(X, Y).method == "branch_and_bound"
-
-    def test_bnb_alias(self) -> None:
-        X, Y = random_metric_space(2, seed=1), random_metric_space(2, seed=2)
-        assert gh_exact(X, Y, method="bnb").method == "branch_and_bound"
-
-    def test_unknown_method_rejected(self) -> None:
-        X = random_metric_space(2, seed=1)
-        with pytest.raises(Exception):
-            gh_exact(X, X, method="guess")
-
     def test_same_witness_across_runs(self) -> None:
         rng = random.Random(321)
-        for method in ("exhaustive", "branch_and_bound"):
-            for _ in range(10):
-                X, Y = random_space(rng, 3), random_space(rng, 4)
-                r1 = gh_exact(X, Y, method=method)
-                r2 = gh_exact(X, Y, method=method)
-                assert r1.distance == r2.distance
-                assert r1.optimal.pairs == r2.optimal.pairs
+        for _ in range(20):
+            X, Y = random_space(rng, 3), random_space(rng, 4)
+            r1 = gh_exact(X, Y)
+            r2 = gh_exact(X, Y)
+            assert r1.distance == r2.distance
+            assert r1.optimal.pairs == r2.optimal.pairs
 
     def test_methods_agree_under_argument_swap(self) -> None:
         rng = random.Random(17)
@@ -146,9 +146,9 @@ class TestSeeding:
 
         for _ in range(25):
             X, Y = random_space(rng, rng.randint(2, 4)), random_space(rng, rng.randint(2, 4))
-            want = gh_exact(X, Y, method="branch_and_bound").distance
+            want = gh_exact(X, Y).distance
             seed = random_correspondence(rng, X.n, Y.n)
-            got = gh_exact(X, Y, method="branch_and_bound", initial=seed)
+            got = gh_exact(X, Y, initial=seed)
             assert got.distance == want
             assert distortion(X, Y, got.optimal) == 2 * want
 
@@ -160,27 +160,25 @@ class TestSeeding:
 
 
 class TestResourceLimits:
-    def test_enumeration_cap_refusal_reports_bounds(self) -> None:
-        X, Y = random_metric_space(5, seed=3), random_metric_space(5, seed=4)
-        with pytest.raises(ResourceLimitError) as exc:
-            gh_exact(X, Y, method="exhaustive")
-        err = exc.value
-        true = gh_exact(X, Y, method="branch_and_bound").distance
-        assert err.lower is not None and err.upper is not None
-        assert err.lower <= true <= err.upper
-
     def test_node_budget_refusal(self) -> None:
-        X, Y = random_metric_space(4, seed=5), random_metric_space(4, seed=6)
-        with pytest.raises(ResourceLimitError) as exc:
-            gh_exact(X, Y, limits=SolverLimits(node_budget=3))
-        assert exc.value.nodes <= 3
+        for n in (4, 5):
+            X, Y = random_metric_space(n, seed=5), random_metric_space(n, seed=6)
+            with pytest.raises(ResourceLimitError) as exc:
+                gh_exact(X, Y, limits=SolverLimits(node_budget=3))
+            assert exc.value.nodes <= 3
 
     def test_bnb_side_cap(self) -> None:
         X = random_metric_space(11, seed=7)
-        Y = random_metric_space(1, seed=8)
-        with pytest.raises(ResourceLimitError):
-            gh_exact(X, Y, method="branch_and_bound")
-        assert gh_exact(X, Y, method="branch_and_bound", limits=WIDE).distance >= 0
+        Y = random_metric_space(2, seed=8)
+        with pytest.raises(ResourceLimitError) as exc:
+            gh_exact(X, Y)
+        err = exc.value
+        true = gh_exact(X, Y, limits=WIDE).distance
+        assert err.lower is not None and err.upper is not None
+        assert err.lower <= true <= err.upper
+        # a one-point side has a single correspondence, so no cap applies
+        point = simplex(1, Fraction(1))
+        assert gh_exact(point, random_metric_space(15, seed=3)).distance == Fraction(7, 4)
 
 
 class TestNumericRanges:
@@ -189,7 +187,7 @@ class TestNumericRanges:
         a, b = Fraction(1, 999999937), Fraction(1, 999999893)
         X = FiniteMetricSpace.from_matrix([[0, 1 + a], [1 + a, 0]])
         Y = FiniteMetricSpace.from_matrix([[0, 1 + b], [1 + b, 0]])
-        res = gh_exact(X, Y, method="exhaustive")
+        res = gh_exact(X, Y)
         assert res.distance == oracle_gh(rows(X), rows(Y))
 
     def test_mixed_magnitudes(self) -> None:
