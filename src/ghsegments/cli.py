@@ -173,7 +173,8 @@ def cmd_geodesic(args, cfg: RunConfig, report: Report) -> int:
     report.nodes["gh_xy"] = res.nodes_explored
     R = res.optimal
     left, right = endpoint_lifts(R)
-    out_dir = Path(args.out_dir) if args.out_dir else None
+    out_dir = args.out_dir or cfg.out_dir
+    out_dir = Path(out_dir) if out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     samples = []
@@ -243,8 +244,9 @@ def cmd_star(args, cfg: RunConfig, report: Report) -> int:
         "points": star.n,
         "space": space_to_jsonable(star),
     }
-    if args.out:
-        save_space(star, args.out)
+    out = args.out or cfg.out
+    if out:
+        save_space(star, out)
     return EXIT_OK
 
 
@@ -265,8 +267,9 @@ def cmd_graft(args, cfg: RunConfig, report: Report) -> int:
     if Z.n >= 2:
         results["isolation"] = frac_str(isolation_radius(Z, z_star))
     report.results = results
-    if args.out:
-        save_space(W, args.out)
+    out = args.out or cfg.out
+    if out:
+        save_space(W, out)
     return EXIT_OK
 
 
@@ -341,8 +344,9 @@ def cmd_report(args, cfg: RunConfig, report: Report) -> int:
     if args.plot_data:
         lines = ["m,cov"] + [f"{e.m},{e.cov}" for e in nc.entries]
         Path(args.plot_data).write_text("\n".join(lines) + "\n")
-    if args.out:
-        Path(args.out).write_text(report.to_json())
+    out = args.out or cfg.out
+    if out:
+        Path(out).write_text(report.to_json())
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ correspondences is the Gromov-Hausdorff distance (see solver).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -173,9 +174,10 @@ def distortion(X: FiniteMetricSpace, Y: FiniteMetricSpace, sigma: Relation) -> F
             raise DomainError(
                 f"pair ({a}, {b}) out of range for {X.n} x {Y.n} spaces"
             )
-    dx = X.dist
-    dy = Y.dist
-    worst = Fraction(0)
+    scale = math.lcm(X.view.den, Y.view.den)
+    dx = X.view.scaled(scale)
+    dy = Y.view.scaled(scale)
+    worst = 0
     for i, (a, b) in enumerate(pairs):
         da = dx[a]
         db = dy[b]
@@ -185,7 +187,7 @@ def distortion(X: FiniteMetricSpace, Y: FiniteMetricSpace, sigma: Relation) -> F
                 gap = -gap
             if gap > worst:
                 worst = gap
-    return worst
+    return Fraction(worst, scale)
 
 
 def enumerate_correspondences(nx: int, ny: int, cap: int = ENUMERATION_CAP) -> Iterator[Correspondence]:

@@ -7,8 +7,9 @@ point of the larger space, taken in decreasing eccentricity order) a
 non-empty subset of the other space, pruning any partial assignment
 whose distortion already ties the incumbent. The incumbent starts at the
 full product correspondence or at a caller-supplied one. All arithmetic
-is on integers after clearing denominators, and every returned witness
-is re-checked in Fraction arithmetic before it leaves gh_exact.
+is on the spaces' integer views over one common denominator, and every
+returned witness is re-checked by distortion, outside the search,
+before it leaves gh_exact.
 """
 
 from __future__ import annotations
@@ -40,15 +41,9 @@ class GhResult:
 
 
 def _scaled_pair(X: FiniteMetricSpace, Y: FiniteMetricSpace):
-    """Clear denominators jointly: integer matrices plus the common scale."""
-    scale = 1
-    for space in (X, Y):
-        for row in space.dist:
-            for v in row:
-                scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    dx = [[int(v * scale) for v in row] for row in X.dist]
-    dy = [[int(v * scale) for v in row] for row in Y.dist]
-    return dx, dy, scale
+    """Both integer views over one common denominator, plus that scale."""
+    scale = math.lcm(X.view.den, Y.view.den)
+    return X.view.scaled(scale), Y.view.scaled(scale), scale
 
 
 def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> Fraction:
@@ -108,30 +103,35 @@ def _mask_cells(mask: int) -> tuple[int, ...]:
 # ---------------------------------------------------------- branch and bound
 
 
-def _swap_classes(d: list[list[int]]) -> list[int]:
-    """Greedy grouping of mutually swappable points.
+def _swap_classes(d) -> list[int]:
+    """Grouping of mutually swappable points.
 
     Points r, r' are swappable when exchanging them is an isometry:
     d[r][k] == d[r'][k] for every k outside {r, r'}. Members of one
     class are interchangeable in any correspondence, which licenses an
-    ordering constraint on their assigned subsets.
+    ordering constraint on their assigned subsets. Swappability is an
+    equivalence, since isometric transpositions compose as
+    (r t) = (r s)(s t)(r s), so each point is tested against the first
+    member of each class only.
     """
     n = len(d)
 
     def swappable(r, s):
-        return all(d[r][k] == d[s][k] for k in range(n) if k != r and k != s)
+        # rows r and s with the entries at r and s blanked out
+        row_r, row_s = list(d[r]), list(d[s])
+        row_r[r] = row_r[s] = row_s[r] = row_s[s] = 0
+        return row_r == row_s
 
     cls = [-1] * n
-    reps: list[list[int]] = []
+    firsts: list[int] = []
     for r in range(n):
-        for ci, members in enumerate(reps):
-            if all(swappable(r, m) for m in members):
-                members.append(r)
+        for ci, first in enumerate(firsts):
+            if swappable(r, first):
                 cls[r] = ci
                 break
         else:
-            cls[r] = len(reps)
-            reps.append([r])
+            cls[r] = len(firsts)
+            firsts.append(r)
     return cls
 
 

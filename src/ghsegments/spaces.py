@@ -1,26 +1,32 @@
 """Finite metric spaces with exact rational distances.
 
-A space is a label list plus an n x n matrix of fractions.Fraction.
-Construction always re-checks the metric axioms, so every
-FiniteMetricSpace in circulation is a genuine metric: zero diagonal,
-symmetric, positive off the diagonal, triangle inequality. Pseudometrics
-are rejected on purpose; several constructions in this package rely on
-distinct points staying at positive distance.
+A space is a label list plus an n x n matrix of fractions.Fraction,
+together with its integer view: the same matrix as integer rows over
+one least common denominator. Construction always re-checks the metric
+axioms, on the integer view, so every FiniteMetricSpace in circulation
+is a genuine metric: zero diagonal, symmetric, positive off the
+diagonal, triangle inequality. Clearing denominators is exact, so the
+check answers exactly as it would in Fraction arithmetic, and its
+report still carries Fraction values. Pseudometrics are rejected on
+purpose; several constructions in this package rely on distinct points
+staying at positive distance.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
+from operator import add
 from typing import Iterable, Sequence
 
 from .exceptions import DomainError, MalformedInputError, MetricValidationError
 
 __all__ = [
     "FiniteMetricSpace",
+    "IntegerView",
     "PointSubset",
     "ValidationReport",
     "Violation",
@@ -36,7 +42,12 @@ __all__ = [
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, rationals and 'p/q' strings to Fraction; floats are refused."""
+    """Coerce ints, rationals and 'p/q' strings to Fraction; floats are refused.
+
+    A Fraction is returned as is.
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise MalformedInputError(f"not a rational distance: {value!r}")
     if isinstance(value, Rational):
@@ -86,40 +97,91 @@ def _coerce_square_matrix(matrix) -> list[list[Fraction]]:
                 f"matrix is not square: {n} rows but a row of length {len(entries)}"
             )
         for v in entries:
-            if v < 0:
+            if v.numerator < 0:
                 raise MalformedInputError(f"negative entry {v}")
         out.append(entries)
     return out
 
 
+@dataclass(frozen=True)
+class IntegerView:
+    """An exact matrix as integer rows over one positive denominator.
+
+    Entry (i, j) is rows[i][j] / den, and den is the least common
+    denominator of the entries, so a matrix has exactly one view. Views
+    are built from checked matrices only, so every entry is >= 0.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+
+    @classmethod
+    def of(cls, matrix: list[list[Fraction]]) -> "IntegerView":
+        dens = {v.denominator for row in matrix for v in row}
+        den = math.lcm(*dens)
+        factor = {q: den // q for q in dens}
+        return cls(
+            tuple(tuple(v.numerator * factor[v.denominator] for v in row) for row in matrix),
+            den,
+        )
+
+    def scaled(self, den: int):
+        """The rows over den, a multiple of self.den."""
+        f = den // self.den
+        return self.rows if f == 1 else [[v * f for v in row] for row in self.rows]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 def validate_metric(matrix) -> ValidationReport:
     """Check the metric axioms, reporting every violation with a witness.
 
-    Malformed input (non-square, negative or non-rational entries) raises
+    Takes rows of rationals or an IntegerView. Malformed input
+    (non-square, negative or non-rational entries) raises
     MalformedInputError instead of producing a report; a report is only
-    about the axioms of a well-formed candidate.
+    about the axioms of a well-formed candidate. The checks run on the
+    integer view; violations are listed diagonal first, then each pair
+    i < j, then each triangle (i, j, k) by pair {i, k} and middle j.
     """
-    d = _coerce_square_matrix(matrix)
-    n = len(d)
+    if not isinstance(matrix, IntegerView):
+        matrix = IntegerView.of(_coerce_square_matrix(matrix))
+    a, den = matrix.rows, matrix.den
+    n = len(a)
     bad: list[Violation] = []
     for i in range(n):
-        if d[i][i] != 0:
-            bad.append(Violation("zero_diagonal", (i,), d[i][i], Fraction(0)))
+        if a[i][i] != 0:
+            bad.append(
+                Violation("zero_diagonal", (i,), Fraction(a[i][i], den), Fraction(0))
+            )
     for i in range(n):
         for j in range(i + 1, n):
-            if d[i][j] != d[j][i]:
-                bad.append(Violation("symmetry", (i, j), d[i][j], d[j][i]))
-            elif d[i][j] == 0:
+            if a[i][j] != a[j][i]:
+                bad.append(
+                    Violation(
+                        "symmetry", (i, j), Fraction(a[i][j], den), Fraction(a[j][i], den)
+                    )
+                )
+            elif a[i][j] == 0:
                 bad.append(Violation("positivity", (i, j), Fraction(0), Fraction(0)))
     # Triangle over each unordered pair {i, k} through every middle point j.
+    # Entries are >= 0, so the middles j = i and j = k never undercut
+    # a[i][k] and the screen over all j is exact; only a pair that fails
+    # it is walked, to list its witnesses in order.
+    cols = list(zip(*a))
     for i in range(n):
+        ai = a[i]
         for k in range(i + 1, n):
+            ck, aik = cols[k], ai[k]
+            if min(map(add, ai, ck)) >= aik:
+                continue
             for j in range(n):
-                if j == i or j == k:
-                    continue
-                if d[i][k] > d[i][j] + d[j][k]:
+                via = ai[j] + ck[j]
+                if via < aik:
                     bad.append(
-                        Violation("triangle", (i, j, k), d[i][k], d[i][j] + d[j][k])
+                        Violation(
+                            "triangle", (i, j, k), Fraction(aik, den), Fraction(via, den)
+                        )
                     )
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
@@ -128,12 +190,14 @@ def validate_metric(matrix) -> ValidationReport:
 class FiniteMetricSpace:
     """A finite metric space: unique labels plus an exact distance matrix.
 
-    The constructor normalizes entries to Fraction and validates the
-    axioms; an invalid matrix never yields a space object.
+    The constructor normalizes entries to Fraction, builds the integer
+    view and validates the axioms on it; an invalid matrix never yields
+    a space object. The view takes no part in equality or hashing.
     """
 
     labels: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...]
+    view: IntegerView = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = _coerce_square_matrix(self.dist)
@@ -145,11 +209,13 @@ class FiniteMetricSpace:
             )
         if len(set(labels)) != n:
             raise MalformedInputError("labels must be unique")
-        report = validate_metric(d)
+        view = IntegerView.of(d)
+        report = validate_metric(view)
         if not report.ok:
             raise MetricValidationError(report)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", tuple(tuple(row) for row in d))
+        object.__setattr__(self, "view", view)
 
     @classmethod
     def from_matrix(cls, matrix, labels: Sequence[str] | None = None) -> "FiniteMetricSpace":
@@ -325,15 +391,14 @@ def random_metric_space(n: int, seed: int) -> FiniteMetricSpace:
         for j in range(i + 1, n):
             v = Fraction(rng.randint(1, 24), rng.choice((1, 2, 3, 4, 6)))
             d[i][j] = d[j][i] = v
-    for k, i, j in itertools.product(range(n), repeat=3):
-        through = d[i][k] + d[k][j]
-        if through < d[i][j]:
-            d[i][j] = through
-    # closure of positive weights stays positive; assert rather than retry
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i][j] <= 0:
-                raise MetricValidationError(
-                    validate_metric(d), "random matrix collapsed to a pseudometric"
-                )
-    return FiniteMetricSpace.from_matrix(d)
+    # Floyd-Warshall on integers over the least common denominator
+    view = IntegerView.of(d)
+    a = list(view.rows)
+    for k in range(n):
+        ak = a[k]
+        for i in range(n):
+            aik = a[i][k]
+            a[i] = list(map(min, a[i], [aik + v for v in ak]))
+    return FiniteMetricSpace.from_matrix(
+        [[Fraction(v, view.den) for v in row] for row in a]
+    )

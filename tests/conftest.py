@@ -60,6 +60,31 @@ def oracle_gh(dX: Matrix, dY: Matrix) -> Fraction:
     return Fraction(best, 2 * scale)
 
 
+def oracle_validate(d: Matrix) -> tuple[tuple, ...]:
+    """Every axiom failure of a square Fraction matrix, by plain loops.
+
+    Entries are (axiom, witness, lhs, rhs): the diagonal first, then each
+    pair i < j, then each pair i < k through every middle point j.
+    """
+    n = len(d)
+    bad = []
+    for i in range(n):
+        if d[i][i] != 0:
+            bad.append(("zero_diagonal", (i,), d[i][i], Fraction(0)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] != d[j][i]:
+                bad.append(("symmetry", (i, j), d[i][j], d[j][i]))
+            elif d[i][j] == 0:
+                bad.append(("positivity", (i, j), Fraction(0), Fraction(0)))
+    for i in range(n):
+        for k in range(i + 1, n):
+            for j in range(n):
+                if j != i and j != k and d[i][k] > d[i][j] + d[j][k]:
+                    bad.append(("triangle", (i, j, k), d[i][k], d[i][j] + d[j][k]))
+    return tuple(bad)
+
+
 def oracle_hausdorff(d: Matrix, A, B) -> Fraction:
     """max of the two one-sided nested-loop deviations."""
     da = max(min(d[a][b] for b in B) for a in A)

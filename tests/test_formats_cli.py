@@ -315,6 +315,32 @@ class TestCliDeterminism:
         assert code == 0
         assert json.loads(out)["config"] == every_key
 
+    def test_config_output_locations(self, capsys, spaces, tmp_path: Path) -> None:
+        geo_dir, graft_out = tmp_path / "geo", tmp_path / "w.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": str(geo_dir), "out": str(graft_out)}))
+        xy = [str(spaces["x"]), str(spaces["y"])]
+        code, _, _ = run(capsys, "geodesic", *xy, "--ts", "0,1", "--config", str(cfg))
+        assert code == 0
+        manifest = json.loads((geo_dir / "manifest.json").read_text())
+        assert [s["file"] for s in manifest["samples"]] == ["sample_00.json", "sample_01.json"]
+        graft = [str(spaces["z"]), "--m", "3", "--mu", "1/4", "--config", str(cfg)]
+        code, out, _ = run(capsys, "graft", *graft)
+        assert code == 0
+        assert space_to_jsonable(load_space(graft_out)) == json.loads(out)["results"]["space"]
+        # a flag still wins over the config value
+        flag_dir, flag_out = tmp_path / "flag-geo", tmp_path / "flag-w.json"
+        graft_out.unlink()
+        assert run(capsys, "graft", *graft, "--out", str(flag_out))[0] == 0
+        assert flag_out.exists() and not graft_out.exists()
+        code, _, _ = run(
+            capsys, "geodesic", *xy, "--ts", "1/2", "--config", str(cfg),
+            "--out-dir", str(flag_dir),
+        )  # fmt: skip
+        assert code == 0
+        assert (flag_dir / "sample_00.json").exists()
+        assert json.loads((geo_dir / "manifest.json").read_text()) == manifest
+
     def test_unknown_config_key_is_exit_3(self, capsys, spaces, tmp_path: Path) -> None:
         cfg = tmp_path / "cfg.json"
         for bad in (

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from ghsegments import (
     random_metric_space,
     simplex,
 )
+from ghsegments.solver import _swap_classes
 from tests.conftest import (
     oracle_distortion,
     oracle_gh,
@@ -179,6 +181,52 @@ class TestResourceLimits:
         # a one-point side has a single correspondence, so no cap applies
         point = simplex(1, Fraction(1))
         assert gh_exact(point, random_metric_space(15, seed=3)).distance == Fraction(7, 4)
+
+
+def brute_classes(d) -> list[int]:
+    """Group points by their set of swap partners, numbered by first member."""
+    n = len(d)
+    ids: dict[frozenset, int] = {}
+    out = []
+    for r in range(n):
+        partners = frozenset(
+            s for s in range(n) if all(d[r][k] == d[s][k] for k in range(n) if k not in (r, s))
+        )
+        out.append(ids.setdefault(partners, len(ids)))
+    return out
+
+
+class TestSymmetryClasses:
+    def test_one_point_against_large_simplex_is_fast(self) -> None:
+        point, big = simplex(1, Fraction(1)), simplex(200, Fraction(1))
+        started = time.perf_counter()
+        res = gh_exact(point, big)
+        elapsed = time.perf_counter() - started
+        assert res.distance == Fraction(1, 2) and res.nodes_explored == 1
+        assert elapsed < 0.1
+
+    def test_classes_match_pairwise_grouping(self) -> None:
+        rng = random.Random(77)
+        matrices = []
+        for _ in range(60):  # few distinct values, so many rows coincide
+            n = rng.randint(1, 9)
+            d = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    d[i][j] = d[j][i] = rng.randint(1, 3)
+            matrices.append(d)
+        matrices += [simplex(n, Fraction(n, 3)).view.rows for n in range(1, 7)]
+        for _ in range(30):  # points copied into small simplices, shuffled
+            base = random_metric_space(rng.randint(1, 5), seed=rng.randrange(10**9)).view.rows
+            owner = [p for p in range(len(base)) for _ in range(rng.randint(1, 4))]
+            rng.shuffle(owner)
+            side = min((v for row in base for v in row if v), default=1)
+            matrices.append(
+                [[0 if r == s else side if p == q else base[p][q] for s, q in enumerate(owner)]
+                 for r, p in enumerate(owner)]
+            )  # fmt: skip
+        for d in matrices:
+            assert _swap_classes(d) == brute_classes(d)
 
 
 class TestNumericRanges:

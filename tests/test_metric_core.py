@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from ghsegments import (
     simplex,
     validate_metric,
 )
-from tests.conftest import oracle_cover, rows
+from tests.conftest import oracle_cover, oracle_validate, rows
 
 
 def line_space(*coords: int) -> FiniteMetricSpace:
@@ -75,6 +77,87 @@ class TestValidateMetric:
     def test_string_fractions_accepted(self) -> None:
         rep = validate_metric([["0", "1/3"], ["1/3", "0"]])
         assert rep.ok
+
+
+def mixed_metric(rng: random.Random, n: int) -> list[list[Fraction]]:
+    """A sum of random metrics scaled by 1/7, 1/9 and 1/1000003: a metric."""
+    parts = [
+        (rows(random_metric_space(n, seed=rng.randrange(10**9))), Fraction(1, q))
+        for q in (7, 9, 1000003)
+    ]
+    return [[sum(d[i][j] * w for d, w in parts) for j in range(n)] for i in range(n)]
+
+
+def plant(rng: random.Random, d: list[list[Fraction]], axiom: str) -> None:
+    """Break one axiom of d in place (n >= 3 for a triangle)."""
+    if axiom == "triangle":
+        i, j, k = rng.sample(range(len(d)), 3)
+        d[i][k] = d[k][i] = d[i][j] + d[j][k] + Fraction(1, 1000003)
+        return
+    i, j = rng.sample(range(len(d)), 2)
+    if axiom == "symmetry":
+        d[i][j] += Fraction(1, 9)
+    elif axiom == "zero_diagonal":
+        d[i][i] = Fraction(rng.randint(1, 5), 7)
+    else:  # positivity
+        d[i][j] = d[j][i] = Fraction(0)
+
+
+class TestValidationAgainstOracle:
+    AXIOMS = ("triangle", "symmetry", "zero_diagonal", "positivity")
+
+    def check(self, d: list[list[Fraction]]) -> tuple:
+        rep = validate_metric(d)
+        got = tuple((v.axiom, v.witness, v.lhs, v.rhs) for v in rep.violations)
+        want = oracle_validate(d)
+        assert got == want
+        assert all(type(v.lhs) is Fraction and type(v.rhs) is Fraction for v in rep.violations)
+        assert rep.ok == (want == ())
+        return got
+
+    def test_planted_violations_of_each_axiom(self) -> None:
+        rng = random.Random(404)
+        for axiom in self.AXIOMS:
+            for _ in range(12):
+                d = mixed_metric(rng, rng.randint(3, 9))
+                plant(rng, d, axiom)
+                assert any(v[0] == axiom for v in self.check(d)), axiom
+
+    def test_several_planted_violations(self) -> None:
+        rng = random.Random(405)
+        for _ in range(20):
+            d = mixed_metric(rng, rng.randint(3, 10))
+            for axiom in rng.choices(self.AXIOMS, k=rng.randint(2, 6)):
+                plant(rng, d, axiom)
+            self.check(d)
+
+    def test_arbitrary_nonnegative_matrices(self) -> None:
+        rng = random.Random(406)
+        dens = (1, 7, 9, 1000003)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            d = [
+                [Fraction(rng.randint(0, 12), rng.choice(dens)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            self.check(d)
+
+    def test_valid_matrices_report_nothing(self) -> None:
+        rng = random.Random(407)
+        for _ in range(20):
+            assert self.check(mixed_metric(rng, rng.randint(1, 10))) == ()
+
+    def test_integer_view_round_trips(self) -> None:
+        rng = random.Random(408)
+        spaces = [
+            FiniteMetricSpace.from_matrix(mixed_metric(rng, rng.randint(1, 8)))
+            for _ in range(10)
+        ]
+        spaces += [simplex(4, Fraction(7, 3)), line_space(0, 2, 5), random_metric_space(6, 9)]
+        for X in spaces:
+            view = X.view
+            assert view.den == math.lcm(*(v.denominator for row in X.dist for v in row))
+            assert [[Fraction(v, view.den) for v in row] for row in view.rows] == rows(X)
 
 
 class TestFiniteMetricSpace:
@@ -203,6 +286,22 @@ class TestRandomMetricSpace:
         for seed in range(30):
             X = random_metric_space(6, seed=seed)
             assert validate_metric(rows(X)).ok
+
+    def test_matches_fraction_closure(self) -> None:
+        def reference(n: int, seed: int) -> list[list[Fraction]]:
+            rng = random.Random(seed)
+            d = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v = Fraction(rng.randint(1, 24), rng.choice((1, 2, 3, 4, 6)))
+                    d[i][j] = d[j][i] = v
+            for k, i, j in itertools.product(range(n), repeat=3):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+            return d
+
+        for n, seed in [(1, 0), (2, 1), (3, 2), (5, 42), (7, 3), (10, 11), (16, 5)]:
+            assert rows(random_metric_space(n, seed=seed)) == reference(n, seed)
 
 
 class TestPointSubset:
