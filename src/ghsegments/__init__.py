@@ -11,7 +11,6 @@ from .correspondences import (
     Correspondence,
     Relation,
     distortion,
-    enumerate_correspondences,
     full_product,
     identity_correspondence,
     image,
@@ -46,7 +45,6 @@ from .geodesics import (
 from .hausdorff import HausdorffResult, hausdorff_distance, point_set_distance
 from .segments import (
     FamilyEntry,
-    FamilyParams,
     GraftParams,
     NoncompactnessReport,
     RationalInterval,
@@ -55,7 +53,6 @@ from .segments import (
     admissible_delta,
     admissible_mu,
     build_segment_family,
-    family_parameters,
     lift_graft,
     lift_star,
     noncompactness_report,
@@ -84,7 +81,6 @@ __all__ = [
     "Correspondence",
     "Relation",
     "distortion",
-    "enumerate_correspondences",
     "full_product",
     "identity_correspondence",
     "image",
@@ -113,7 +109,6 @@ __all__ = [
     "hausdorff_distance",
     "point_set_distance",
     "FamilyEntry",
-    "FamilyParams",
     "GraftParams",
     "NoncompactnessReport",
     "RationalInterval",
@@ -122,7 +117,6 @@ __all__ = [
     "admissible_delta",
     "admissible_mu",
     "build_segment_family",
-    "family_parameters",
     "lift_graft",
     "lift_star",
     "noncompactness_report",

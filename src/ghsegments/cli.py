@@ -5,7 +5,7 @@ JSON report to stdout (wall time goes to stderr). Exit codes:
 
     0  success
     2  command line usage error
-    3  malformed input or argument outside its domain
+    3  malformed input, argument outside its domain, or unwritable output
     4  metric validation failure
     5  solver size cap or node budget exceeded
     6  construction hypothesis not satisfied (no admissible parameters)
@@ -45,8 +45,6 @@ from .segments import (
     StarParams,
     _pick_z_star,
     build_segment_family,
-    family_parameters,
-    noncompactness_report,
     segment_membership,
     simplex_graft,
     star_extension,
@@ -55,7 +53,6 @@ from .solver import gh_exact
 from .spaces import (
     PointSubset,
     as_fraction,
-    covering_number,
     isolation_radius,
     validate_metric,
 )
@@ -273,39 +270,40 @@ def cmd_graft(args, cfg: RunConfig, report: Report) -> int:
     return EXIT_OK
 
 
-def cmd_family(args, cfg: RunConfig, report: Report) -> int:
+def _graft_family(args, cfg: RunConfig, report: Report, ms):
+    """X, Y and the certified graft family W(mu, m), m in ms, shared by
+    `family` and `report`."""
     X = _load(report, args.x)
     Y = _load(report, args.y)
     Z = _load(report, args.z)
-    ms = _parse_ints(args.ms) if args.ms else cfg.ms
     z_star = Z.index_of(args.zstar) if args.zstar else None
     mu = as_fraction(args.mu) if args.mu else cfg.mu
-    params = family_parameters(X, Y, Z, z_star=z_star, mu=mu, limits=cfg.limits())
-    family = build_segment_family(X, Y, Z, ms=ms, limits=cfg.limits(), params=params)
-    eps = params.mu / 4
-    entries = []
-    for m, (W, cert) in zip(ms, family):
-        entries.append(
-            {
-                "m": m,
-                "points": W.n,
-                "cov": covering_number(W, eps),
-                "certificate": _cert_jsonable(cert, X, W, Y),
-                "space": space_to_jsonable(W),
-            }
-        )
+    return X, Y, build_segment_family(X, Y, Z, ms, z_star, mu, cfg.limits())
+
+
+def cmd_family(args, cfg: RunConfig, report: Report) -> int:
+    ms = _parse_ints(args.ms) if args.ms else cfg.ms
+    X, Y, fam = _graft_family(args, cfg, report, ms)
+    eps = frac_str(fam.eps)
     report.results = {
-        "z_star": Z.labels[params.z_star],
-        "mu": frac_str(params.mu),
-        "eps": frac_str(eps),
-        "admissible_mu": str(params.window),
-        "d_xz": frac_str(params.base.d_xz),
-        "d_zy": frac_str(params.base.d_zy),
-        "d_xy": frac_str(params.base.d_xy),
-        "entries": entries,
-        "covering_table": [
-            {"m": e["m"], "eps": frac_str(eps), "cov": e["cov"]} for e in entries
+        "z_star": fam.z_star_label,
+        "mu": frac_str(fam.mu),
+        "eps": eps,
+        "admissible_mu": str(fam.window),
+        "d_xz": frac_str(fam.d_xz),
+        "d_zy": frac_str(fam.d_zy),
+        "d_xy": frac_str(fam.d_xy),
+        "entries": [
+            {
+                "m": e.m,
+                "points": e.space.n,
+                "cov": e.cov,
+                "certificate": _cert_jsonable(e.certificate, X, e.space, Y),
+                "space": space_to_jsonable(e.space),
+            }
+            for e in fam.entries
         ],
+        "covering_table": [{"m": e.m, "eps": eps, "cov": e.cov} for e in fam.entries],
     }
     if args.report:
         Path(args.report).write_text(report.to_json())
@@ -313,36 +311,30 @@ def cmd_family(args, cfg: RunConfig, report: Report) -> int:
 
 
 def cmd_report(args, cfg: RunConfig, report: Report) -> int:
-    X = _load(report, args.x)
-    Y = _load(report, args.y)
-    Z = _load(report, args.z)
-    z_star = Z.index_of(args.zstar) if args.zstar else None
-    mu = as_fraction(args.mu) if args.mu else cfg.mu
     m_max = args.m_max if args.m_max is not None else cfg.m_max
-    nc = noncompactness_report(
-        X, Y, Z, m_max=m_max, z_star=z_star, mu=mu, limits=cfg.limits()
-    )
+    _, _, fam = _graft_family(args, cfg, report, range(1, m_max + 1))
+    eps = frac_str(fam.eps)
     report.results = {
-        "z_star": nc.z_star_label,
-        "mu": frac_str(nc.mu),
-        "eps": frac_str(nc.eps),
-        "d_xz": frac_str(nc.d_xz),
-        "d_zy": frac_str(nc.d_zy),
-        "all_members": nc.all_members,
-        "cov_at_least_m": nc.cov_at_least_m,
+        "z_star": fam.z_star_label,
+        "mu": frac_str(fam.mu),
+        "eps": eps,
+        "d_xz": frac_str(fam.d_xz),
+        "d_zy": frac_str(fam.d_zy),
+        "all_members": fam.all_members,
+        "cov_at_least_m": fam.cov_at_least_m,
         "table": [
             {
                 "m": e.m,
-                "eps": frac_str(nc.eps),
+                "eps": eps,
                 "cov": e.cov,
                 "member": e.certificate.member,
                 "points": e.space.n,
             }
-            for e in nc.entries
+            for e in fam.entries
         ],
     }
     if args.plot_data:
-        lines = ["m,cov"] + [f"{e.m},{e.cov}" for e in nc.entries]
+        lines = ["m,cov"] + [f"{e.m},{e.cov}" for e in fam.entries]
         Path(args.plot_data).write_text("\n".join(lines) + "\n")
     out = args.out or cfg.out
     if out:
@@ -501,6 +493,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
+    except OSError as exc:  # an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     sys.stdout.write(report.to_json())

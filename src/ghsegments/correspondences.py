@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exceptions import DomainError, ResourceLimitError
+from .exceptions import DomainError
 from .spaces import FiniteMetricSpace
 
 __all__ = [
@@ -28,19 +28,12 @@ __all__ = [
     "is_correspondence",
     "distortion",
     "minimize_correspondence",
-    "enumerate_correspondences",
     "preimage",
     "image",
     "full_product",
     "identity_correspondence",
     "transpose",
-    "ENUMERATION_CAP",
 ]
-
-# Exhaustive enumeration walks 2^(nx*ny) subsets; refuse beyond this
-# many cells and point the caller at the branch-and-bound solver.
-ENUMERATION_CAP = 20
-
 
 def _norm_pairs(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     out = frozenset((int(a), int(b)) for a, b in pairs)
@@ -188,46 +181,3 @@ def distortion(X: FiniteMetricSpace, Y: FiniteMetricSpace, sigma: Relation) -> F
             if gap > worst:
                 worst = gap
     return Fraction(worst, scale)
-
-
-def enumerate_correspondences(nx: int, ny: int, cap: int = ENUMERATION_CAP) -> Iterator[Correspondence]:
-    """Yield every correspondence between {0..nx-1} and {0..ny-1} exactly once.
-
-    Walks all subsets of the nx*ny product cells in ascending bitmask
-    order (cell index x*ny + y) and keeps the doubly onto ones. Refuses
-    when nx*ny exceeds the cap; gh_exact handles larger instances
-    without enumeration.
-    """
-    if nx < 1 or ny < 1:
-        raise DomainError("spaces must be non-empty")
-    cells = nx * ny
-    if cells > cap:
-        raise ResourceLimitError(
-            f"{nx} x {ny} has {cells} cells, above the enumeration cap {cap}; "
-            "use gh_exact instead"
-        )
-    cell_pair = [(c // ny, c % ny) for c in range(cells)]
-    full_rows = (1 << nx) - 1
-    full_cols = (1 << ny) - 1
-    row_bit = [1 << (c // ny) for c in range(cells)]
-    col_bit = [1 << (c % ny) for c in range(cells)]
-    for mask in range(1, 1 << cells):
-        rows = cols = 0
-        m = mask
-        while m:
-            low = m & -m
-            c = low.bit_length() - 1
-            rows |= row_bit[c]
-            cols |= col_bit[c]
-            m ^= low
-        if rows == full_rows and cols == full_cols:
-            yield Correspondence(
-                frozenset(cell_pair[c] for c in _bits(mask)), nx, ny
-            )
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -54,6 +54,10 @@ def _candidate_from_jsonable(obj):
         not isinstance(labels, list) or not all(isinstance(l, str) for l in labels)
     ):
         raise MalformedInputError('"labels" must be a list of strings')
+    if labels is not None and len(labels) != len(dist):
+        raise MalformedInputError(
+            f'"labels" has {len(labels)} entries for {len(dist)} matrix rows'
+        )
     matrix = [[as_fraction(v) for v in row] for row in dist]
     return labels, matrix
 

@@ -20,6 +20,10 @@ members from an interior member Z:
   segment while cov(W, mu/4) >= m, so the segment contains spaces of
   unbounded covering number and fails the precompactness criterion: it
   is not compact.
+
+build_segment_family certifies Z once (three solver runs, d_XY among
+them) and each W(mu, m) with two more, X-W and W-Y: X and Y are the
+same for every member, so d_XY and its witness are shared.
 """
 
 from __future__ import annotations
@@ -51,8 +55,6 @@ __all__ = [
     "lift_star",
     "simplex_graft",
     "lift_graft",
-    "FamilyParams",
-    "family_parameters",
     "build_segment_family",
     "FamilyEntry",
     "NoncompactnessReport",
@@ -123,26 +125,29 @@ def segment_membership(
     Y: FiniteMetricSpace,
     Z: FiniteMetricSpace,
     limits: SolverLimits | None = None,
-    initial_xz: Correspondence | None = None,
-    initial_zy: Correspondence | None = None,
-    initial_xy: Correspondence | None = None,
 ) -> SegmentCertificate:
     """Certify whether Z is in [X, Y], by three exact solver runs.
 
-    The optional initial correspondences seed the solver's incumbent and
-    change nothing about the certified values.
+    A graft family runs this once, for its base member Z; see
+    build_segment_family.
     """
-    rxz: GhResult = gh_exact(X, Z, limits=limits, initial=initial_xz)
-    rzy: GhResult = gh_exact(Z, Y, limits=limits, initial=initial_zy)
-    rxy: GhResult = gh_exact(X, Y, limits=limits, initial=initial_xy)
+    rxz = gh_exact(X, Z, limits=limits)
+    rzy = gh_exact(Z, Y, limits=limits)
+    rxy = gh_exact(X, Y, limits=limits)
+    return _certificate(rxz, rzy, rxy.distance, rxy.optimal)
+
+
+def _certificate(
+    rxz: GhResult, rzy: GhResult, d_xy: Fraction, witness_xy: Correspondence
+) -> SegmentCertificate:
     return SegmentCertificate(
         d_xz=rxz.distance,
         d_zy=rzy.distance,
-        d_xy=rxy.distance,
-        member=rxz.distance + rzy.distance == rxy.distance,
+        d_xy=d_xy,
+        member=rxz.distance + rzy.distance == d_xy,
         witness_xz=rxz.optimal,
         witness_zy=rzy.optimal,
-        witness_xy=rxy.optimal,
+        witness_xy=witness_xy,
     )
 
 
@@ -302,7 +307,7 @@ class FamilyEntry:
 
 @dataclass(frozen=True)
 class NoncompactnessReport:
-    """The (m, eps, cov) table witnessing that [X, Y] is not compact.
+    """A certified graft family W(mu, m) with its (m, eps, cov) table.
 
     cov >= m for every row means no uniform covering bound N(eps) can
     exist across the family, so the precompactness criterion fails.
@@ -312,8 +317,10 @@ class NoncompactnessReport:
     z_star_label: str
     mu: Fraction
     eps: Fraction
+    window: RationalInterval  # the admissible graft radii
     d_xz: Fraction
     d_zy: Fraction
+    d_xy: Fraction
     entries: tuple[FamilyEntry, ...]
 
     @property
@@ -334,31 +341,33 @@ def _pick_z_star(Z: FiniteMetricSpace) -> int:
     return radii.index(best)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Everything a graft family needs: the base certificate for Z plus
-    the chosen graft point and radius."""
-
-    base: SegmentCertificate
-    z_star: int
-    mu: Fraction
-    window: RationalInterval
-
-
-def family_parameters(
+def build_segment_family(
     X: FiniteMetricSpace,
     Y: FiniteMetricSpace,
     Z: FiniteMetricSpace,
+    ms: Sequence[int] = (2, 3, 4),
     z_star: int | None = None,
     mu=None,
     limits: SolverLimits | None = None,
-) -> FamilyParams:
-    """Certify Z as an interior member and fix the graft parameters.
+) -> NoncompactnessReport:
+    """Graft W(mu, m) for each m in ms and certify its membership in [X, Y].
 
-    Defaults: the most isolated point of Z, and the midpoint radius
-    min{d_XZ, d_ZY, S(z*)} of the admissible window. A caller-supplied
-    radius outside the window is a hypothesis error.
+    Z must be an interior member of [X, Y] (member with both distances
+    positive), otherwise no admissible mu exists. Defaults: the most
+    isolated point of Z, and the midpoint radius min{d_XZ, d_ZY, S(z*)}
+    of the admissible window; a caller-supplied radius outside the
+    window is a hypothesis error.
+
+    Z's certificate solves d_XY once, and every member reuses that value
+    and its witness: X and Y never change. Each W then takes two solver
+    runs, X-W and W-Y, seeded with the lifted witnesses of Z but
+    certified from scratch. Covering numbers are taken at eps = mu/4.
     """
+    ms = list(ms)
+    if not ms:
+        raise DomainError("need at least one simplex size m >= 1")
+    if any(m < 1 for m in ms):
+        raise DomainError("simplex sizes must be >= 1")
     base = segment_membership(X, Y, Z, limits=limits)
     if not base.member:
         raise HypothesisError(
@@ -375,56 +384,34 @@ def family_parameters(
     iso = isolation_radius(Z, zs) if Z.n >= 2 else None
     window = admissible_mu(base.d_xz, base.d_zy, iso)
     if mu is None:
-        mu_val = window.hi / 2
+        mu = window.hi / 2
     else:
-        mu_val = as_fraction(mu)
-        if not window.contains(mu_val):
+        mu = as_fraction(mu)
+        if not window.contains(mu):
             raise HypothesisError(
-                f"graft radius {mu_val} outside the admissible window {window}"
+                f"graft radius {mu} outside the admissible window {window}"
             )
-    return FamilyParams(base=base, z_star=zs, mu=mu_val, window=window)
-
-
-def build_segment_family(
-    X: FiniteMetricSpace,
-    Y: FiniteMetricSpace,
-    Z: FiniteMetricSpace,
-    ms: Sequence[int] = (2, 3, 4),
-    z_star: int | None = None,
-    mu=None,
-    limits: SolverLimits | None = None,
-    params: FamilyParams | None = None,
-) -> list[tuple[FiniteMetricSpace, SegmentCertificate]]:
-    """Graft a family W(mu, m) for each m, certifying each one's membership.
-
-    Requires Z to be an interior member of [X, Y] (member with both
-    distances positive), otherwise no admissible mu exists. The solver
-    runs are seeded with the lifted witnesses but certified from scratch.
-    """
-    ms = list(ms)
-    if not ms:
-        raise DomainError("need at least one simplex size")
-    if any(m < 1 for m in ms):
-        raise DomainError("simplex sizes must be >= 1")
-    if params is None:
-        params = family_parameters(X, Y, Z, z_star=z_star, mu=mu, limits=limits)
-    base = params.base
-    out: list[tuple[FiniteMetricSpace, SegmentCertificate]] = []
+    eps = mu / 4
+    entries = []
     for m in ms:
-        W = simplex_graft(Z, GraftParams(params.z_star, params.mu, m))
-        seed_xw = lift_graft(base.witness_xz, params.z_star, m)
-        seed_wy = transpose(lift_graft(transpose(base.witness_zy), params.z_star, m))
-        cert = segment_membership(
-            X,
-            Y,
-            W,
-            limits=limits,
-            initial_xz=seed_xw,
-            initial_zy=seed_wy,
-            initial_xy=base.witness_xy,
-        )
-        out.append((W, cert))
-    return out
+        W = simplex_graft(Z, GraftParams(zs, mu, m))
+        seed_xw = lift_graft(base.witness_xz, zs, m)
+        seed_wy = transpose(lift_graft(transpose(base.witness_zy), zs, m))
+        rxw = gh_exact(X, W, limits=limits, initial=seed_xw)
+        rwy = gh_exact(W, Y, limits=limits, initial=seed_wy)
+        cert = _certificate(rxw, rwy, base.d_xy, base.witness_xy)
+        entries.append(FamilyEntry(m, W, cert, covering_number(W, eps)))
+    return NoncompactnessReport(
+        z_star=zs,
+        z_star_label=Z.labels[zs],
+        mu=mu,
+        eps=eps,
+        window=window,
+        d_xz=base.d_xz,
+        d_zy=base.d_zy,
+        d_xy=base.d_xy,
+        entries=tuple(entries),
+    )
 
 
 def noncompactness_report(
@@ -436,7 +423,7 @@ def noncompactness_report(
     mu=None,
     limits: SolverLimits | None = None,
 ) -> NoncompactnessReport:
-    """Certified family W(mu, 1..m_max) with covering numbers at eps = mu/4.
+    """The certified family W(mu, 1..m_max), see build_segment_family.
 
     Each open eps-ball meets at most one simplex vertex when eps < mu/2,
     so cov(W(mu, m), eps) >= m: the covering numbers grow without bound
@@ -444,21 +431,4 @@ def noncompactness_report(
     """
     if m_max < 1:
         raise DomainError(f"m_max must be >= 1, got {m_max}")
-    params = family_parameters(X, Y, Z, z_star=z_star, mu=mu, limits=limits)
-    family = build_segment_family(
-        X, Y, Z, ms=range(1, m_max + 1), limits=limits, params=params
-    )
-    eps = params.mu / 4
-    entries = tuple(
-        FamilyEntry(m=m, space=W, certificate=cert, cov=covering_number(W, eps))
-        for m, (W, cert) in zip(range(1, m_max + 1), family)
-    )
-    return NoncompactnessReport(
-        z_star=params.z_star,
-        z_star_label=Z.labels[params.z_star],
-        mu=params.mu,
-        eps=eps,
-        d_xz=params.base.d_xz,
-        d_zy=params.base.d_zy,
-        entries=entries,
-    )
+    return build_segment_family(X, Y, Z, range(1, m_max + 1), z_star, mu, limits)

@@ -13,7 +13,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from pathlib import Path
 
 import ghsegments
@@ -105,15 +105,6 @@ def oracle_cover(d: Matrix, eps: Fraction) -> int:
             if frozenset().union(*(balls[c] for c in centers)) == everything:
                 return k
     raise AssertionError("unreachable: singleton balls always cover")
-
-
-def oracle_correspondence_count(m: int, n: int) -> int:
-    """Inclusion-exclusion over which rows and columns are missed."""
-    return sum(
-        (-1) ** (i + j) * comb(m, i) * comb(n, j) * 2 ** ((m - i) * (n - j))
-        for i in range(m + 1)
-        for j in range(n + 1)
-    )
 
 
 def random_correspondence(rng: random.Random, nx: int, ny: int) -> Correspondence:

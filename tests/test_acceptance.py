@@ -144,7 +144,8 @@ def test_05_graft_family_membership_and_lift_on_designed_midpoint() -> None:
     mu = mu_window.hi / 2
     rng = random.Random(5050)
     lifted_checked = 0
-    for (W, cert), m in zip(fam, (2, 3, 4, 5)):
+    for e, m in zip(fam.entries, (2, 3, 4, 5)):
+        W, cert = e.space, e.certificate
         assert cert.member
         assert cert.d_xz + cert.d_zy == cert.d_xy
         vertices = [i for i, lab in enumerate(W.labels) if "#" in lab]

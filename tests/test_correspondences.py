@@ -9,9 +9,7 @@ from ghsegments import (
     Correspondence,
     DomainError,
     Relation,
-    ResourceLimitError,
     distortion,
-    enumerate_correspondences,
     full_product,
     identity_correspondence,
     image,
@@ -23,7 +21,6 @@ from ghsegments import (
     transpose,
 )
 from tests.conftest import (
-    oracle_correspondence_count,
     oracle_distortion,
     random_correspondence,
     random_space,
@@ -71,31 +68,6 @@ class TestDistortion:
         X = simplex(2, Fraction(1))
         with pytest.raises(DomainError):
             distortion(X, X, Relation.of((0, 5)))
-
-
-class TestEnumeration:
-    @pytest.mark.parametrize(
-        ("nx", "ny", "expected"),
-        [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 7), (3, 2, 25), (3, 3, 265)],
-    )
-    def test_counts(self, nx: int, ny: int, expected: int) -> None:
-        assert oracle_correspondence_count(nx, ny) == expected
-        got = list(enumerate_correspondences(nx, ny))
-        assert len(got) == expected
-
-    def test_all_results_are_onto_and_distinct(self) -> None:
-        got = list(enumerate_correspondences(3, 2))
-        assert len({c.pairs for c in got}) == len(got)
-        assert all(is_correspondence(c.pairs, 3, 2) for c in got)
-
-    def test_cap_refusal(self) -> None:
-        with pytest.raises(ResourceLimitError):
-            list(enumerate_correspondences(5, 5))
-
-    def test_deterministic_order(self) -> None:
-        a = [c.sorted_pairs() for c in enumerate_correspondences(2, 2)]
-        b = [c.sorted_pairs() for c in enumerate_correspondences(2, 2)]
-        assert a == b
 
 
 class TestRelationAlgebra:

@@ -133,6 +133,17 @@ class TestCliBasics:
         assert res["violations"][0]["axiom"] == "symmetry"
         assert res["violations"][0]["witness"] == ["a", "b"]
 
+    def test_validate_label_count_mismatch_is_exit_3(self, capsys, tmp_path: Path) -> None:
+        # the matrix also breaks the triangle inequality: a report would
+        # name points by labels that do not exist
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"labels": ["a"], "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}')
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 3
+        assert out == "" and "error:" in err
+        with pytest.raises(MalformedInputError):
+            load_space(bad)
+
     def test_hausdorff_subcommand(self, capsys, spaces) -> None:
         code, out, _ = run(
             capsys, "hausdorff", str(spaces["x"]), "--a", "p0,p1", "--b", "p2"
@@ -277,6 +288,45 @@ class TestCliPipelines:
         body = [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
         assert body == [(e["m"], e["cov"]) for e in res["table"]]
         assert all(cov >= m for m, cov in body)
+
+    def test_family_and_report_agree(self, capsys, spaces) -> None:
+        xyz = [str(spaces[k]) for k in "xyz"]
+        code, out, _ = run(capsys, "family", *xyz, "--ms", "1,2,3")
+        assert code == 0
+        fam = json.loads(out)["results"]
+        code, out, _ = run(capsys, "report", *xyz, "--m-max", "3")
+        assert code == 0
+        rep = json.loads(out)["results"]
+        for key in ("z_star", "mu", "eps", "d_xz", "d_zy"):
+            assert fam[key] == rep[key], key
+        assert [
+            (e["m"], e["cov"], e["certificate"]["member"], e["points"])
+            for e in fam["entries"]
+        ] == [(r["m"], r["cov"], r["member"], r["points"]) for r in rep["table"]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["star", "{z}", "--z0", "(p0,p0)", "--delta", "1/2", "--out", "{bad}"],
+            ["graft", "{z}", "--mu", "1/4", "--m", "3", "--out", "{bad}"],
+            ["report", "{x}", "{y}", "{z}", "--m-max", "2", "--out", "{bad}"],
+            ["report", "{x}", "{y}", "{z}", "--m-max", "2", "--plot-data", "{bad}"],
+            ["family", "{x}", "{y}", "{z}", "--ms", "2", "--report", "{bad}"],
+            ["gh", "{x}", "{y}", "--emit-correspondence", "{bad}"],
+            ["geodesic", "{x}", "{y}", "--ts", "1/2", "--out-dir", "{x}"],
+        ],
+        ids=["star", "graft", "report-out", "plot-data", "family-report", "gh", "geodesic"],
+    )
+    def test_unwritable_output_is_exit_3(
+        self, capsys, spaces, tmp_path: Path, argv: list[str]
+    ) -> None:
+        # a file in a directory that does not exist; --out-dir names a file
+        bad = str(tmp_path / "no-such-dir" / "out.json")
+        paths = {k: str(v) for k, v in spaces.items()}
+        code, out, err = run(capsys, *(a.format(bad=bad, **paths) for a in argv))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: [Errno")
 
 
 class TestCliDeterminism:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ghsegments import segments
 from ghsegments import (
     DomainError,
     GraftParams,
@@ -305,8 +306,26 @@ class TestFamilyAndReport:
     def test_family_certificates_all_pass(self) -> None:
         X, Y, _, Z = midpoint_instance()
         fam = build_segment_family(X, Y, Z, ms=(1, 2, 3, 4), limits=WIDE)
-        assert [W.n for W, _ in fam] == [3, 4, 5, 6]
-        assert all(cert.member for _, cert in fam)
+        assert [e.space.n for e in fam.entries] == [3, 4, 5, 6]
+        assert all(e.certificate.member for e in fam.entries)
+
+    def test_family_solves_d_xy_once(self, monkeypatch) -> None:
+        X, Y, _, Z = midpoint_instance()
+        calls = []
+
+        def counting(A, B, **kwargs):
+            calls.append((A, B))
+            return gh_exact(A, B, **kwargs)
+
+        monkeypatch.setattr(segments, "gh_exact", counting)
+        fam = build_segment_family(X, Y, Z, ms=(1, 2, 3), limits=WIDE)
+        # three solves certify Z, then X-W and W-Y for each member
+        assert len(calls) == 3 + 2 * 3
+        assert sum(A is X and B is Y for A, B in calls) == 1
+        xy = gh_exact(X, Y, limits=WIDE)
+        for e in fam.entries:
+            assert e.certificate.d_xy == fam.d_xy == xy.distance
+            assert distortion(X, Y, e.certificate.witness_xy) == 2 * xy.distance
 
     def test_family_on_nonmember_is_hypothesis_failure(self) -> None:
         X = simplex(2, Fraction(1))
