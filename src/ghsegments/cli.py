@@ -122,13 +122,13 @@ def _cert_jsonable(cert, X, W, Y) -> dict:
 
 
 def cmd_validate(args, cfg: RunConfig, report: Report) -> int:
-    labels, matrix = load_candidate(args.space)
+    labels, view = load_candidate(args.space)
     report.inputs[str(args.space)] = digest_file(args.space)
-    vr = validate_metric(matrix)
-    names = labels if labels is not None else [f"p{i}" for i in range(len(matrix))]
+    vr = validate_metric(view)
+    names = labels if labels is not None else [f"p{i}" for i in range(len(view))]
     report.results = {
         "ok": vr.ok,
-        "n": len(matrix),
+        "n": len(view),
         "violations": [
             {
                 "axiom": v.axiom,

@@ -43,9 +43,9 @@ class RunConfig:
         p = Path(path)
         try:
             obj = json.loads(p.read_text())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise MalformedInputError(f"cannot read config {p}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int too long for int()
             raise MalformedInputError(f"config {p} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedInputError("config must be a JSON object")

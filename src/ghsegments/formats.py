@@ -1,9 +1,13 @@
 """On-disk formats: spaces as JSON or CSV, correspondences as JSON.
 
-Rationals travel as "p/q" strings (or bare integers on input); floats
-are refused because they cannot round-trip exactly. Both space formats
-carry labels plus the full square matrix and are validated on ingestion,
-so an asymmetric file is rejected with the violating witness pair.
+Rationals travel as "p/q" strings (or bare integers on input). Any
+string that fractions.Fraction reads exactly is accepted, decimals such
+as "0.5" and "1e3" included, and "2/4" is the same entry as "1/2"; JSON
+floats are refused because they cannot round-trip exactly. Entries are
+read straight into an integer view (spaces.IntegerView.parse), with no
+Fraction per entry. Both space formats carry labels plus the full square
+matrix and are validated on ingestion, so an asymmetric file is rejected
+with the violating witness pair.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 
 from .correspondences import Correspondence
 from .exceptions import MalformedInputError
-from .spaces import FiniteMetricSpace, as_fraction
+from .spaces import FiniteMetricSpace, IntegerView
 
 __all__ = [
     "frac_str",
@@ -58,13 +62,12 @@ def _candidate_from_jsonable(obj):
         raise MalformedInputError(
             f'"labels" has {len(labels)} entries for {len(dist)} matrix rows'
         )
-    matrix = [[as_fraction(v) for v in row] for row in dist]
-    return labels, matrix
+    return labels, IntegerView.parse(dist)
 
 
 def space_from_jsonable(obj) -> FiniteMetricSpace:
-    labels, matrix = _candidate_from_jsonable(obj)
-    return FiniteMetricSpace.from_matrix(matrix, labels)
+    labels, view = _candidate_from_jsonable(obj)
+    return FiniteMetricSpace.from_view(view, labels)
 
 
 def space_to_csv(space: FiniteMetricSpace) -> str:
@@ -86,32 +89,33 @@ def _candidate_from_csv(text: str):
             f"CSV needs a header row plus {len(labels)} matrix rows, got "
             f"{len(rows) - 1} rows"
         )
-    matrix = [[as_fraction(c.strip()) for c in row] for row in rows[1:]]
-    return labels, matrix
+    return labels, IntegerView.parse([c.strip() for c in row] for row in rows[1:])
 
 
 def space_from_csv(text: str) -> FiniteMetricSpace:
-    labels, matrix = _candidate_from_csv(text)
-    return FiniteMetricSpace.from_matrix(matrix, labels)
+    labels, view = _candidate_from_csv(text)
+    return FiniteMetricSpace.from_view(view, labels)
 
 
 def load_candidate(path):
     """Parse a space file without checking the metric axioms.
 
-    Returns (labels_or_None, matrix of Fractions); the validate command
-    uses this so axiom violations become a report, not a crash.
+    Returns (labels_or_None, IntegerView): the entries are read and the
+    matrix is checked to be square and nonnegative, but not validated.
+    The validate command uses this so axiom violations become a report,
+    not a crash.
     """
     p = Path(path)
     suffix = _known_suffix(p)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {p}: {exc}") from exc
     if suffix == ".csv":
         return _candidate_from_csv(text)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int too long for int()
         raise MalformedInputError(f"{p} is not valid JSON: {exc}") from exc
     return _candidate_from_jsonable(obj)
 
@@ -126,8 +130,8 @@ def _known_suffix(p: Path) -> str:
 
 
 def load_space(path) -> FiniteMetricSpace:
-    labels, matrix = load_candidate(path)
-    return FiniteMetricSpace.from_matrix(matrix, labels)
+    labels, view = load_candidate(path)
+    return FiniteMetricSpace.from_view(view, labels)
 
 
 def save_space(space: FiniteMetricSpace, path) -> None:

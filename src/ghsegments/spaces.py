@@ -5,7 +5,10 @@ together with its integer view: the same matrix as integer rows over
 one least common denominator. Construction always re-checks the metric
 axioms, on the integer view, so every FiniteMetricSpace in circulation
 is a genuine metric: zero diagonal, symmetric, positive off the
-diagonal, triangle inequality. Clearing denominators is exact, so the
+diagonal, triangle inequality. Parsers read raw entries straight into
+a view (IntegerView.parse) and build the space from it
+(FiniteMetricSpace.from_view), so no entry becomes a Fraction on the way
+in. Clearing denominators is exact, so the
 check answers exactly as it would in Fraction arithmetic, and its
 report still carries Fraction values. Pseudometrics are rejected on
 purpose; several constructions in this package rely on distinct points
@@ -18,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 from operator import add
 from typing import Iterable, Sequence
@@ -60,6 +64,31 @@ def as_fraction(value) -> Fraction:
     raise MalformedInputError(f"not a rational distance: {value!r}")
 
 
+def _rational_parts(value) -> tuple[int, int]:
+    """(p, q) with value == p/q and q > 0, not necessarily in lowest terms.
+
+    An int (not a bool) and an ASCII 'p' or 'p/q' string with q != 0,
+    surrounding whitespace stripped, are read with int(); everything else
+    goes through as_fraction, so the same values are accepted and the
+    same messages raised.
+    """
+    t = type(value)
+    if t is int:
+        return value, 1
+    if t is str and value.isascii():
+        num, slash, den = value.strip().partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if digits.isdigit() and (not slash or den.isdigit()):
+            try:
+                q = int(den) if slash else 1
+                if q:
+                    return int(num), q
+            except ValueError:  # more digits than int() converts
+                pass
+    f = as_fraction(value)
+    return f.numerator, f.denominator
+
+
 @dataclass(frozen=True)
 class Violation:
     """One concrete axiom failure with its witness indices."""
@@ -84,6 +113,10 @@ class ValidationReport:
     violations: tuple[Violation, ...] = ()
 
 
+def _not_square(n: int, length: int) -> MalformedInputError:
+    return MalformedInputError(f"matrix is not square: {n} rows but a row of length {length}")
+
+
 def _coerce_square_matrix(matrix) -> list[list[Fraction]]:
     rows = list(matrix)
     n = len(rows)
@@ -93,9 +126,7 @@ def _coerce_square_matrix(matrix) -> list[list[Fraction]]:
     for row in rows:
         entries = [as_fraction(v) for v in row]
         if len(entries) != n:
-            raise MalformedInputError(
-                f"matrix is not square: {n} rows but a row of length {len(entries)}"
-            )
+            raise _not_square(n, len(entries))
         for v in entries:
             if v.numerator < 0:
                 raise MalformedInputError(f"negative entry {v}")
@@ -124,6 +155,50 @@ class IntegerView:
             tuple(tuple(v.numerator * factor[v.denominator] for v in row) for row in matrix),
             den,
         )
+
+    @classmethod
+    def parse(cls, matrix) -> "IntegerView":
+        """The view of a matrix of raw entries, each read by _rational_parts.
+
+        Every entry is read first, in row-major order; then each row in
+        turn is checked for length and for a negative entry, with the
+        messages the constructor gives. den is the lcm of the raw
+        denominators reduced by its gcd with every numerator, which is the
+        least common denominator: "2/4" reads as "1/2".
+        """
+        seen: dict[str, tuple[int, int]] = {}
+        parts = []
+        for row in matrix:
+            out = []
+            for v in row:
+                if type(v) is str:
+                    pq = seen.get(v)
+                    if pq is None:
+                        pq = seen[v] = _rational_parts(v)
+                else:
+                    pq = _rational_parts(v)
+                out.append(pq)
+            parts.append(out)
+        n = len(parts)
+        if n == 0:
+            raise MalformedInputError("empty matrix")
+        dens = {q for row in parts for _, q in row}
+        den = math.lcm(*dens)
+        factor = {q: den // q for q in dens}
+        rows = []
+        for row in parts:
+            if len(row) != n:
+                raise _not_square(n, len(row))
+            nums = [p * factor[q] for p, q in row]
+            if min(nums) < 0:
+                p, q = next(pq for pq in row if pq[0] < 0)
+                raise MalformedInputError(f"negative entry {Fraction(p, q)}")
+            rows.append(nums)
+        g = math.gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            den //= g
+            rows = [[v // g for v in row] for row in rows]
+        return cls(tuple(map(tuple, rows)), den)
 
     def scaled(self, den: int):
         """The rows over den, a multiple of self.den."""
@@ -186,13 +261,29 @@ def validate_metric(matrix) -> ValidationReport:
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
+def _checked_labels(labels, n: int) -> tuple[str, ...]:
+    labels = tuple(str(l) for l in labels)
+    if len(labels) != n:
+        raise MalformedInputError(f"{len(labels)} labels for a {n}-point matrix")
+    if len(set(labels)) != n:
+        raise MalformedInputError("labels must be unique")
+    return labels
+
+
+def _require_metric(view: IntegerView) -> None:
+    report = validate_metric(view)
+    if not report.ok:
+        raise MetricValidationError(report)
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """A finite metric space: unique labels plus an exact distance matrix.
 
     The constructor normalizes entries to Fraction, builds the integer
-    view and validates the axioms on it; an invalid matrix never yields
-    a space object. The view takes no part in equality or hashing.
+    view and validates the axioms on it; from_view starts from a parsed
+    view instead. Either way an invalid matrix never yields a space
+    object. The view takes no part in equality or hashing.
     """
 
     labels: tuple[str, ...]
@@ -201,18 +292,9 @@ class FiniteMetricSpace:
 
     def __post_init__(self):
         d = _coerce_square_matrix(self.dist)
-        n = len(d)
-        labels = tuple(str(l) for l in self.labels)
-        if len(labels) != n:
-            raise MalformedInputError(
-                f"{len(labels)} labels for a {n}-point matrix"
-            )
-        if len(set(labels)) != n:
-            raise MalformedInputError("labels must be unique")
+        labels = _checked_labels(self.labels, len(d))
         view = IntegerView.of(d)
-        report = validate_metric(view)
-        if not report.ok:
-            raise MetricValidationError(report)
+        _require_metric(view)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", tuple(tuple(row) for row in d))
         object.__setattr__(self, "view", view)
@@ -223,6 +305,30 @@ class FiniteMetricSpace:
         if labels is None:
             labels = [f"p{i}" for i in range(len(rows))]
         return cls(tuple(labels), tuple(tuple(r) for r in rows))
+
+    @classmethod
+    def from_view(
+        cls, view: IntegerView, labels: Sequence[str] | None = None
+    ) -> "FiniteMetricSpace":
+        """The space of a view built by IntegerView.parse or IntegerView.of.
+
+        Labels are checked as by the constructor and the axioms are always
+        validated on the view; dist holds one Fraction per distinct value.
+        """
+        n = len(view)
+        if labels is None:
+            labels = [f"p{i}" for i in range(n)]
+        labels = _checked_labels(labels, n)
+        _require_metric(view)
+        den = view.den
+        value = {v: Fraction(v, den) for v in set(chain.from_iterable(view.rows))}
+        space = object.__new__(cls)
+        object.__setattr__(space, "labels", labels)
+        object.__setattr__(
+            space, "dist", tuple(tuple(map(value.__getitem__, row)) for row in view.rows)
+        )
+        object.__setattr__(space, "view", view)
+        return space
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,8 +11,10 @@ from pathlib import Path
 import pytest
 
 from ghsegments import (
+    FiniteMetricSpace,
     MalformedInputError,
     MetricValidationError,
+    ToolkitError,
     load_space,
     random_metric_space,
     save_space,
@@ -87,6 +92,191 @@ class TestFormats:
     def test_missing_file_rejected(self, tmp_path: Path) -> None:
         with pytest.raises(MalformedInputError):
             load_space(tmp_path / "absent.json")
+
+
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _spelling(rng: random.Random, v: Fraction, kind: str):
+    """One exact way to write v in a space file."""
+    p, q = v.numerator, v.denominator
+    if kind == "json" and q == 1 and rng.random() < 0.2:
+        return p  # a JSON int
+    style = rng.randrange(9)
+    if style == 1:
+        k = rng.randint(2, 5)
+        return f"{p * k}/{q * k}"  # "2/4", "0/5"
+    if style == 2:
+        return f"{p:03d}" if q == 1 else f"{p}/{q:02d}"  # "007", "4/08"
+    if style == 3:
+        return f" {v} "
+    if style == 4:
+        return f"+{v}"
+    if style == 5 and 10**6 % q == 0:
+        return f"{p * 10**6 // q}e-6"  # "1e3"-style exponent
+    if style == 6 and 10**6 % q == 0:
+        return f"{p // q}.{(p % q) * 10**6 // q:06d}"  # "0.5"-style decimal
+    if style == 7:
+        return str(v).translate(FULLWIDTH)  # "１"
+    return str(v)
+
+
+JSON_BAD = ["1/0", "3/-4", "", "x", "1_0", "²", "1/2/3", "-1/2", 0.5, 2.0, True, None, [1], -3]
+CSV_BAD = ["1/0", "3/-4", "x", "1_0", "²", "1/2/3", "-1/2", " - 1", "1 /2"]
+
+
+def _document(rng: random.Random, kind: str):
+    """Labels (or None) and raw rows: a valid space in random spellings,
+    sometimes with malformed entries, ragged rows, bad labels or a
+    broken triangle planted in it."""
+    n = rng.randint(1, 7)
+    big = rng.choice([1, 1, 1, 10**30])  # big ints
+    X = random_space(rng, n)
+    matrix = [[v * big for v in row] for row in X.dist]
+    labels = [f"q{i}" for i in range(n)]
+    broken = n >= 3 and rng.random() < 0.6
+    if broken:
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            what = rng.randrange(5)
+            if what == 0 and i != j:  # a broken triangle, kept symmetric
+                matrix[i][j] = matrix[j][i] = 3 * max(map(max, matrix)) + 1
+            elif what == 1:
+                labels[i] = labels[j]  # duplicate (or unchanged) label
+    rows = [[_spelling(rng, v, kind) for v in row] for row in matrix]
+    if broken:
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(n)
+            what = rng.randrange(4)
+            if what == 0:
+                bad = JSON_BAD if kind == "json" else CSV_BAD
+                rows[i][rng.randrange(len(rows[i]))] = rng.choice(bad)
+            elif what == 1:
+                rows[i].pop() if rng.random() < 0.5 else rows[i].append(rows[i][0])
+            elif what == 2:
+                labels.pop()  # miscounted labels
+    if kind == "json" and rng.random() < 0.2:
+        labels = None
+    return labels, rows
+
+
+def _reference_entry(v) -> Fraction:
+    if isinstance(v, str):
+        try:
+            return Fraction(v.strip())
+        except (ValueError, ZeroDivisionError):
+            raise MalformedInputError(f"cannot parse rational from {v!r}") from None
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise MalformedInputError(f"not a rational distance: {v!r}")
+
+
+def _reference(kind: str, labels, rows):
+    """What the Fraction route reads from a document: every entry through
+    Fraction, then the Fraction constructor. A space, or what it raises."""
+    if kind == "json" and labels is not None and len(labels) != len(rows):
+        return MalformedInputError(
+            f'"labels" has {len(labels)} entries for {len(rows)} matrix rows'
+        )
+    if kind == "csv" and len(labels) != len(rows):
+        return MalformedInputError(
+            f"CSV needs a header row plus {len(labels)} matrix rows, got {len(rows)} rows"
+        )
+    if kind == "csv":  # cells are stripped before they are read
+        rows = [[v.strip() for v in row] for row in rows]
+    try:
+        matrix = [[_reference_entry(v) for v in row] for row in rows]
+        return FiniteMetricSpace.from_matrix(matrix, labels)
+    except ToolkitError as exc:
+        return exc
+
+
+def _lcm_view(dist):
+    den = math.lcm(*(v.denominator for row in dist for v in row))
+    return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in dist), den
+
+
+def _parse(kind: str, labels, rows):
+    try:
+        if kind == "json":
+            doc = {"dist": rows} if labels is None else {"labels": labels, "dist": rows}
+            return space_from_jsonable(json.loads(json.dumps(doc)))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([labels] + rows)
+        return space_from_csv(buf.getvalue())
+    except ToolkitError as exc:
+        return exc
+
+
+def assert_same_outcome(got, want) -> None:
+    if isinstance(want, FiniteMetricSpace):
+        assert isinstance(got, FiniteMetricSpace), got
+        assert got == want and hash(got) == hash(want)
+        assert got.labels == want.labels and got.dist == want.dist
+        assert (got.view.rows, got.view.den) == _lcm_view(want.dist)
+    else:
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, MetricValidationError):
+            assert got.report == want.report
+
+
+class TestParseDifferential:
+    """Parsers read entries straight into integers; a reference that reads
+    every entry with Fraction must agree on each space and each refusal."""
+
+    @pytest.mark.parametrize("kind", ["json", "csv"])
+    def test_seeded_documents(self, kind: str) -> None:
+        rng = random.Random(f"parse-differential-{kind}")
+        accepted = refused = 0
+        for _ in range(700):
+            labels, rows = _document(rng, kind)
+            want = _reference(kind, labels, rows)
+            assert_same_outcome(_parse(kind, labels, rows), want)
+            if isinstance(want, FiniteMetricSpace):
+                accepted += 1
+            else:
+                refused += 1
+        assert accepted >= 250 and refused >= 150
+
+    @pytest.mark.parametrize("kind", ["json", "csv"])
+    def test_each_spelling(self, kind: str) -> None:
+        good = ["2/4", "4/08", "007", " 3/4 ", "0.5", "1e3", "+2", "１", str(10**40)]
+        if kind == "json":
+            good += [7, 10**40]
+        for token in good:
+            rows = [["0/5", token], [token, "-0"]]
+            want = _reference(kind, ["a", "b"], rows)
+            assert isinstance(want, FiniteMetricSpace), token
+            assert_same_outcome(_parse(kind, ["a", "b"], rows), want)
+        for token in JSON_BAD if kind == "json" else CSV_BAD:
+            rows = [["0", token, "1"], [token, "0", "1"], ["1", "1", "0"]]
+            want = _reference(kind, ["a", "b", "c"], rows)
+            assert_same_outcome(_parse(kind, ["a", "b", "c"], rows), want)
+
+    def test_half_is_one_view(self) -> None:
+        a = space_from_csv("a,b\n0,2/4\n1/2,0\n")
+        b = space_from_jsonable({"dist": [["0/5", "1/2"], ["4/08", 0]], "labels": ["a", "b"]})
+        assert a == b and a.view == b.view
+        assert a.view.rows == ((0, 1), (1, 0)) and a.view.den == 2
+
+    def test_entries_are_read_before_shape_and_sign(self) -> None:
+        rows = [["-1", "0"], ["0", "0", "x"], ["x", "1", "0"]]
+        for kind in ("json", "csv"):
+            got = _parse(kind, ["a", "b", "c"], rows)
+            assert str(got) == "cannot parse rational from 'x'"
+        got = _parse("json", None, [["0", "-2/4", "1"], ["0", "1"], ["1", "1", "0"]])
+        assert str(got) == "negative entry -1/2"
+
+    @pytest.mark.parametrize("kind", ["json", "csv"])
+    def test_planted_triangle_is_validated(self, kind: str) -> None:
+        X = random_metric_space(6, seed=86)
+        matrix = [list(row) for row in X.dist]
+        matrix[1][4] = matrix[4][1] = matrix[1][2] + matrix[2][4] + 1
+        with pytest.raises(MetricValidationError) as want:
+            FiniteMetricSpace.from_matrix(matrix, X.labels)
+        got = _parse(kind, list(X.labels), [[str(v) for v in row] for row in matrix])
+        assert isinstance(got, MetricValidationError)
+        assert got.report == want.value.report and not got.report.ok
 
 
 class TestCliBasics:
@@ -167,6 +357,29 @@ class TestCliBasics:
         code, _, err = run(capsys, "gh", str(tmp_path / "nope.json"), str(tmp_path / "nope.json"))
         assert code == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("latin.json", b'\xff{"dist": [[0]]}'),
+            ("latin.csv", b"a\n\xff\n"),
+            ("long.json", b'{"dist": [[0, ' + b"1" * 5000 + b'], [1, 0]]}'),
+        ],
+        ids=["not-utf8-json", "not-utf8-csv", "long-int-json"],
+    )
+    def test_unreadable_file_is_exit_3(self, capsys, spaces, tmp_path: Path, name, data) -> None:
+        # bytes that are not UTF-8, and a JSON int longer than int() converts,
+        # as a space file and as a config file
+        path = tmp_path / name
+        path.write_bytes(data)
+        x = str(spaces["x"])
+        for argv in (
+            ["validate", str(path)],
+            ["gh", str(path), str(path)],
+            ["gh", x, x, "--config", str(path)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == "" and "error:" in err, argv
 
     def test_node_budget_exhaustion_is_exit_5(self, capsys, spaces) -> None:
         code, _, err = run(
