@@ -14,13 +14,12 @@ correspondences is the Gromov-Hausdorff distance (see solver).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .exceptions import DomainError
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, common_rows
 
 __all__ = [
     "Relation",
@@ -167,9 +166,7 @@ def distortion(X: FiniteMetricSpace, Y: FiniteMetricSpace, sigma: Relation) -> F
             raise DomainError(
                 f"pair ({a}, {b}) out of range for {X.n} x {Y.n} spaces"
             )
-    scale = math.lcm(X.view.den, Y.view.den)
-    dx = X.view.scaled(scale)
-    dy = Y.view.scaled(scale)
+    dx, dy, scale = common_rows(X, Y)
     worst = 0
     for i, (a, b) in enumerate(pairs):
         da = dx[a]

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .correspondences import Correspondence
@@ -40,11 +41,15 @@ def frac_str(q: Fraction) -> str:
     return str(Fraction(q))
 
 
+def _entry_strings(space: FiniteMetricSpace) -> list[list[str]]:
+    """The matrix as reduced rational strings, one str per distinct value."""
+    rows, den = space.view.rows, space.view.den
+    text = {v: str(Fraction(v, den)) for v in set(chain.from_iterable(rows))}
+    return [[text[v] for v in row] for row in rows]
+
+
 def space_to_jsonable(space: FiniteMetricSpace) -> dict:
-    return {
-        "labels": list(space.labels),
-        "dist": [[frac_str(v) for v in row] for row in space.dist],
-    }
+    return {"labels": list(space.labels), "dist": _entry_strings(space)}
 
 
 def _candidate_from_jsonable(obj):
@@ -67,15 +72,14 @@ def _candidate_from_jsonable(obj):
 
 def space_from_jsonable(obj) -> FiniteMetricSpace:
     labels, view = _candidate_from_jsonable(obj)
-    return FiniteMetricSpace.from_view(view, labels)
+    return FiniteMetricSpace(labels, view)
 
 
 def space_to_csv(space: FiniteMetricSpace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(space.labels)
-    for row in space.dist:
-        writer.writerow([frac_str(v) for v in row])
+    writer.writerows(_entry_strings(space))
     return buf.getvalue()
 
 
@@ -94,7 +98,7 @@ def _candidate_from_csv(text: str):
 
 def space_from_csv(text: str) -> FiniteMetricSpace:
     labels, view = _candidate_from_csv(text)
-    return FiniteMetricSpace.from_view(view, labels)
+    return FiniteMetricSpace(labels, view)
 
 
 def load_candidate(path):
@@ -131,7 +135,7 @@ def _known_suffix(p: Path) -> str:
 
 def load_space(path) -> FiniteMetricSpace:
     labels, view = load_candidate(path)
-    return FiniteMetricSpace.from_view(view, labels)
+    return FiniteMetricSpace(labels, view)
 
 
 def save_space(space: FiniteMetricSpace, path) -> None:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .correspondences import Correspondence, Relation, distortion, is_correspondence
 from .exceptions import DomainError
-from .spaces import FiniteMetricSpace, as_fraction
+from .spaces import FiniteMetricSpace, IntegerView, as_fraction, common_rows
 
 __all__ = [
     "InterpolatedSpace",
@@ -88,14 +88,18 @@ def interpolate(
                 "endpoint samples need a correspondence, not a bare relation"
             )
         return InterpolatedSpace(pairs, tt, X if tt == 0 else Y)
-    s = 1 - tt
+    # with t = p/q and both views over den, the entry is
+    # ((q - p) dx + p dy) / (q den)
+    dx, dy, den = common_rows(X, Y)
+    p, q = tt.numerator, tt.denominator
+    s = q - p
     matrix = [
-        [s * X.dist[a][a2] + tt * Y.dist[b][b2] for (a2, b2) in pairs]
+        [s * dx[a][a2] + p * dy[b][b2] for (a2, b2) in pairs]
         for (a, b) in pairs
     ]
     labels = _unique_labels([f"({X.labels[a]},{Y.labels[b]})" for a, b in pairs])
     return InterpolatedSpace(
-        pairs, tt, FiniteMetricSpace.from_matrix(matrix, labels)
+        pairs, tt, FiniteMetricSpace(labels, IntegerView(matrix, q * den))
     )
 
 

@@ -36,12 +36,18 @@ def _check_subset(X: FiniteMetricSpace, A: PointSubset, name: str) -> None:
         raise DomainError(f"subset {name} belongs to a different space")
 
 
+def _nearest(X: FiniteMetricSpace, x: int, A: PointSubset) -> int:
+    """d(x, A) on X's integer view."""
+    row = X.view.rows[x]
+    return min(row[a] for a in A.indices)
+
+
 def point_set_distance(X: FiniteMetricSpace, x: int, A: PointSubset) -> Fraction:
     """d(x, A) = min over a in A of d(x, a)."""
     _check_subset(X, A, "A")
     if not 0 <= x < X.n:
         raise DomainError(f"point {x} out of range")
-    return min(X.dist[x][a] for a in A.indices)
+    return Fraction(_nearest(X, x, A), X.view.den)
 
 
 def hausdorff_distance(
@@ -49,14 +55,16 @@ def hausdorff_distance(
 ) -> HausdorffResult:
     _check_subset(X, A, "A")
     _check_subset(X, B, "B")
-    best_a, val_a = -1, Fraction(-1)
+    best_a, val_a = -1, -1
     for a in sorted(A.indices):
-        d = point_set_distance(X, a, B)
+        d = _nearest(X, a, B)
         if d > val_a:
             best_a, val_a = a, d
-    best_b, val_b = -1, Fraction(-1)
+    best_b, val_b = -1, -1
     for b in sorted(B.indices):
-        d = point_set_distance(X, b, A)
+        d = _nearest(X, b, A)
         if d > val_b:
             best_b, val_b = b, d
-    return HausdorffResult(value=max(val_a, val_b), witness_a=best_a, witness_b=best_b)
+    return HausdorffResult(
+        value=Fraction(max(val_a, val_b), X.view.den), witness_a=best_a, witness_b=best_b
+    )

@@ -28,6 +28,7 @@ same for every member, so d_XY and its witness are shared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,6 +38,7 @@ from .exceptions import DomainError, HypothesisError
 from .solver import GhResult, SolverLimits, gh_exact
 from .spaces import (
     FiniteMetricSpace,
+    IntegerView,
     as_fraction,
     closed_ball,
     covering_number,
@@ -187,6 +189,12 @@ def _fresh_label(base: str, taken) -> str:
     return candidate
 
 
+def _over_common_den(Z: FiniteMetricSpace, r: Fraction):
+    """(den, Z's rows over den, r * den) for den the lcm of Z's and r's denominators."""
+    den = math.lcm(Z.view.den, r.denominator)
+    return den, Z.view.scaled(den), r.numerator * (den // r.denominator)
+
+
 def star_extension(Z: FiniteMetricSpace, params: StarParams) -> FiniteMetricSpace:
     """Z plus one point z*: d(z*, z) is delta on the closed delta-ball
     around z0 and d(z0, z) elsewhere.
@@ -201,12 +209,12 @@ def star_extension(Z: FiniteMetricSpace, params: StarParams) -> FiniteMetricSpac
     if not 0 <= params.z0 < Z.n:
         raise DomainError(f"base point {params.z0} out of range")
     ball = closed_ball(Z, params.z0, delta).indices
-    n = Z.n
-    star_row = [delta if i in ball else Z.dist[params.z0][i] for i in range(n)]
-    matrix = [list(Z.dist[i]) + [star_row[i]] for i in range(n)]
-    matrix.append(star_row + [Fraction(0)])
+    den, rows, radius = _over_common_den(Z, delta)
+    star_row = [radius if i in ball else v for i, v in enumerate(rows[params.z0])]
+    matrix = [list(row) + [s] for row, s in zip(rows, star_row)]
+    matrix.append(star_row + [0])
     labels = list(Z.labels) + [_fresh_label(Z.labels[params.z0] + "*", Z.labels)]
-    return FiniteMetricSpace.from_matrix(matrix, labels)
+    return FiniteMetricSpace(labels, IntegerView(matrix, den))
 
 
 def lift_star(R: Correspondence, z0: int) -> Correspondence:
@@ -251,27 +259,18 @@ def simplex_graft(
                 f"(needs mu {'<' if strict else '<='} {2 * s})"
             )
     keep = [i for i in range(Z.n) if i != params.z_star]
-    zero = Fraction(0)
-    size = len(keep) + m
-    matrix = [[zero] * size for _ in range(size)]
-    for a, i in enumerate(keep):
-        for b, j in enumerate(keep):
-            matrix[a][b] = Z.dist[i][j]
-        cross = Z.dist[params.z_star][i]
-        for v in range(m):
-            matrix[a][len(keep) + v] = cross
-            matrix[len(keep) + v][a] = cross
+    den, rows, side = _over_common_den(Z, mu)
+    cross = [rows[params.z_star][i] for i in keep]
+    matrix = [[rows[i][j] for j in keep] + [c] * m for i, c in zip(keep, cross)]
     for v in range(m):
-        for w in range(m):
-            if v != w:
-                matrix[len(keep) + v][len(keep) + w] = mu
+        matrix.append(cross + [side] * v + [0] + [side] * (m - 1 - v))
     taken = [Z.labels[i] for i in keep]
     star = Z.labels[params.z_star]
     labels = list(taken)
     for v in range(m):
         lab = _fresh_label(f"{star}#{v + 1}", labels)
         labels.append(lab)
-    return FiniteMetricSpace.from_matrix(matrix, labels)
+    return FiniteMetricSpace(labels, IntegerView(matrix, den))
 
 
 def lift_graft(R: Correspondence, z_star: int, m: int) -> Correspondence:

@@ -14,13 +14,12 @@ before it leaves gh_exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .correspondences import Correspondence, distortion
 from .exceptions import DomainError, ResourceLimitError, ToolkitError
-from .spaces import FiniteMetricSpace, diameter
+from .spaces import FiniteMetricSpace, common_rows, diameter
 
 __all__ = ["SolverLimits", "GhResult", "gh_exact", "gh_lower_bound"]
 
@@ -40,12 +39,6 @@ class GhResult:
     nodes_explored: int
 
 
-def _scaled_pair(X: FiniteMetricSpace, Y: FiniteMetricSpace):
-    """Both integer views over one common denominator, plus that scale."""
-    scale = math.lcm(X.view.den, Y.view.den)
-    return X.view.scaled(scale), Y.view.scaled(scale), scale
-
-
 def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> Fraction:
     """Cheap certified lower bound for d_GH(X, Y).
 
@@ -53,12 +46,13 @@ def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> Fraction:
     bounds: any correspondence matches each point with one whose
     eccentricity differs by at most dis R.
     """
-    gap = abs(diameter(X) - diameter(Y))
-    ecc_x = [max(row) for row in X.dist]
-    ecc_y = [max(row) for row in Y.dist]
+    dx, dy, scale = common_rows(X, Y)
+    ecc_x = [max(row) for row in dx]
+    ecc_y = [max(row) for row in dy]
+    gap = abs(max(ecc_x) - max(ecc_y))
     side_x = max(min(abs(a - b) for b in ecc_y) for a in ecc_x)
     side_y = max(min(abs(a - b) for a in ecc_x) for b in ecc_y)
-    return max(gap, side_x, side_y) / 2
+    return Fraction(max(gap, side_x, side_y), 2 * scale)
 
 
 def _refusal_bounds(X, Y):
@@ -149,7 +143,7 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
     # rows range over the larger space so each branching step stays narrow
     flip = Y.n > X.n
     A, B = (Y, X) if flip else (X, Y)
-    dA, dB, scale = _scaled_pair(A, B)
+    dA, dB, scale = common_rows(A, B)
     na, nb = A.n, B.n
     full_cols = (1 << nb) - 1
 

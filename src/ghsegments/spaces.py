@@ -1,18 +1,21 @@
 """Finite metric spaces with exact rational distances.
 
-A space is a label list plus an n x n matrix of fractions.Fraction,
-together with its integer view: the same matrix as integer rows over
-one least common denominator. Construction always re-checks the metric
-axioms, on the integer view, so every FiniteMetricSpace in circulation
-is a genuine metric: zero diagonal, symmetric, positive off the
-diagonal, triangle inequality. Parsers read raw entries straight into
-a view (IntegerView.parse) and build the space from it
-(FiniteMetricSpace.from_view), so no entry becomes a Fraction on the way
-in. Clearing denominators is exact, so the
-check answers exactly as it would in Fraction arithmetic, and its
-report still carries Fraction values. Pseudometrics are rejected on
-purpose; several constructions in this package rely on distinct points
-staying at positive distance.
+A space is a label list plus its integer view: the n x n distance matrix
+as integer rows over one positive denominator, kept in normal form (the
+least common denominator of the entries), so a matrix has exactly one
+view. The view is the only matrix a space stores; dist and d(i, j) give
+its entries as fractions.Fraction on demand. Raw entries (ints,
+Fractions, 'p/q' strings) are read straight into a view by
+IntegerView.parse, which from_matrix, validate_metric and the file
+parsers share, and the constructions here build their views from their
+inputs' views. Construction always re-checks the metric axioms on the
+view, so every FiniteMetricSpace in circulation is a genuine metric:
+zero diagonal, symmetric, positive off the diagonal, triangle
+inequality. Clearing denominators is exact, so every check and
+comparison answers exactly as it would in Fraction arithmetic, and a
+validation report still carries Fraction values. Pseudometrics are
+rejected on purpose; several constructions in this package rely on
+distinct points staying at positive distance.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "Violation",
     "validate_metric",
     "as_fraction",
+    "common_rows",
     "diameter",
     "closed_ball",
     "covering_number",
@@ -67,14 +71,16 @@ def as_fraction(value) -> Fraction:
 def _rational_parts(value) -> tuple[int, int]:
     """(p, q) with value == p/q and q > 0, not necessarily in lowest terms.
 
-    An int (not a bool) and an ASCII 'p' or 'p/q' string with q != 0,
-    surrounding whitespace stripped, are read with int(); everything else
-    goes through as_fraction, so the same values are accepted and the
-    same messages raised.
+    An int (not a bool), a Fraction, and an ASCII 'p' or 'p/q' string
+    with q != 0, surrounding whitespace stripped, are read directly;
+    everything else goes through as_fraction, so the same values are
+    accepted and the same messages raised.
     """
     t = type(value)
     if t is int:
         return value, 1
+    if t is Fraction:
+        return value.numerator, value.denominator
     if t is str and value.isascii():
         num, slash, den = value.strip().partition("/")
         digits = num[1:] if num[:1] in ("+", "-") else num
@@ -117,54 +123,49 @@ def _not_square(n: int, length: int) -> MalformedInputError:
     return MalformedInputError(f"matrix is not square: {n} rows but a row of length {length}")
 
 
-def _coerce_square_matrix(matrix) -> list[list[Fraction]]:
-    rows = list(matrix)
-    n = len(rows)
-    if n == 0:
-        raise MalformedInputError("empty matrix")
-    out: list[list[Fraction]] = []
-    for row in rows:
-        entries = [as_fraction(v) for v in row]
-        if len(entries) != n:
-            raise _not_square(n, len(entries))
-        for v in entries:
-            if v.numerator < 0:
-                raise MalformedInputError(f"negative entry {v}")
-        out.append(entries)
-    return out
-
-
 @dataclass(frozen=True)
 class IntegerView:
     """An exact matrix as integer rows over one positive denominator.
 
-    Entry (i, j) is rows[i][j] / den, and den is the least common
-    denominator of the entries, so a matrix has exactly one view. Views
-    are built from checked matrices only, so every entry is >= 0.
+    Entry (i, j) is rows[i][j] / den. Construction checks that the rows
+    form a non-empty square of nonnegative integers, row by row, and
+    puts the view in normal form: rows and den divided by their gcd, so
+    den is the least common denominator of the entries and a matrix has
+    exactly one view.
     """
 
     rows: tuple[tuple[int, ...], ...]
     den: int
 
-    @classmethod
-    def of(cls, matrix: list[list[Fraction]]) -> "IntegerView":
-        dens = {v.denominator for row in matrix for v in row}
-        den = math.lcm(*dens)
-        factor = {q: den // q for q in dens}
-        return cls(
-            tuple(tuple(v.numerator * factor[v.denominator] for v in row) for row in matrix),
-            den,
-        )
+    def __post_init__(self):
+        rows, den = self.rows, self.den
+        n = len(rows)
+        if n == 0:
+            raise MalformedInputError("empty matrix")
+        if den < 1:
+            raise MalformedInputError(f"denominator must be >= 1, got {den}")
+        for row in rows:
+            if len(row) != n:
+                raise _not_square(n, len(row))
+            if min(row) < 0:
+                v = next(v for v in row if v < 0)
+                raise MalformedInputError(f"negative entry {Fraction(v, den)}")
+        g = math.gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            den //= g
+            rows = [[v // g for v in row] for row in rows]
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def parse(cls, matrix) -> "IntegerView":
         """The view of a matrix of raw entries, each read by _rational_parts.
 
-        Every entry is read first, in row-major order; then each row in
-        turn is checked for length and for a negative entry, with the
-        messages the constructor gives. den is the lcm of the raw
-        denominators reduced by its gcd with every numerator, which is the
-        least common denominator: "2/4" reads as "1/2".
+        Every entry is read first, in row-major order, and only then is
+        each row checked for length and sign, so a malformed matrix gives
+        the same message through every reader. The entries are put over
+        the lcm of their raw denominators and reduced to normal form:
+        "2/4" reads as "1/2".
         """
         seen: dict[str, tuple[int, int]] = {}
         parts = []
@@ -179,26 +180,10 @@ class IntegerView:
                     pq = _rational_parts(v)
                 out.append(pq)
             parts.append(out)
-        n = len(parts)
-        if n == 0:
-            raise MalformedInputError("empty matrix")
         dens = {q for row in parts for _, q in row}
         den = math.lcm(*dens)
         factor = {q: den // q for q in dens}
-        rows = []
-        for row in parts:
-            if len(row) != n:
-                raise _not_square(n, len(row))
-            nums = [p * factor[q] for p, q in row]
-            if min(nums) < 0:
-                p, q = next(pq for pq in row if pq[0] < 0)
-                raise MalformedInputError(f"negative entry {Fraction(p, q)}")
-            rows.append(nums)
-        g = math.gcd(den, *chain.from_iterable(rows))
-        if g > 1:
-            den //= g
-            rows = [[v // g for v in row] for row in rows]
-        return cls(tuple(map(tuple, rows)), den)
+        return cls([[p * factor[q] for p, q in row] for row in parts], den)
 
     def scaled(self, den: int):
         """The rows over den, a multiple of self.den."""
@@ -212,15 +197,16 @@ class IntegerView:
 def validate_metric(matrix) -> ValidationReport:
     """Check the metric axioms, reporting every violation with a witness.
 
-    Takes rows of rationals or an IntegerView. Malformed input
-    (non-square, negative or non-rational entries) raises
-    MalformedInputError instead of producing a report; a report is only
-    about the axioms of a well-formed candidate. The checks run on the
-    integer view; violations are listed diagonal first, then each pair
-    i < j, then each triangle (i, j, k) by pair {i, k} and middle j.
+    Takes an IntegerView or rows of raw entries, which IntegerView.parse
+    reads. Malformed input (non-square, negative or non-rational
+    entries) raises MalformedInputError instead of producing a report; a
+    report is only about the axioms of a well-formed candidate. The
+    checks run on the integer view; violations are listed diagonal
+    first, then each pair i < j, then each triangle (i, j, k) by pair
+    {i, k} and middle j.
     """
     if not isinstance(matrix, IntegerView):
-        matrix = IntegerView.of(_coerce_square_matrix(matrix))
+        matrix = IntegerView.parse(matrix)
     a, den = matrix.rows, matrix.den
     n = len(a)
     bad: list[Violation] = []
@@ -262,6 +248,8 @@ def validate_metric(matrix) -> ValidationReport:
 
 
 def _checked_labels(labels, n: int) -> tuple[str, ...]:
+    if labels is None:
+        return tuple(f"p{i}" for i in range(n))
     labels = tuple(str(l) for l in labels)
     if len(labels) != n:
         raise MalformedInputError(f"{len(labels)} labels for a {n}-point matrix")
@@ -270,65 +258,41 @@ def _checked_labels(labels, n: int) -> tuple[str, ...]:
     return labels
 
 
-def _require_metric(view: IntegerView) -> None:
-    report = validate_metric(view)
-    if not report.ok:
-        raise MetricValidationError(report)
-
-
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """A finite metric space: unique labels plus an exact distance matrix.
+    """A finite metric space: unique labels plus its integer view.
 
-    The constructor normalizes entries to Fraction, builds the integer
-    view and validates the axioms on it; from_view starts from a parsed
-    view instead. Either way an invalid matrix never yields a space
-    object. The view takes no part in equality or hashing.
+    The view is the only matrix a space stores; dist and d read its
+    entries as Fractions. The constructor checks the labels (None means
+    p0, p1, ...) and validates the axioms on the view, so an invalid
+    matrix never yields a space object; from_matrix reads a matrix of
+    raw entries into a view first. Equality and hashing are on
+    (labels, view); views are in normal form, so two spaces are equal
+    exactly when their labels and matrices are.
     """
 
     labels: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
-    view: IntegerView = field(init=False, repr=False, compare=False)
+    view: IntegerView
 
     def __post_init__(self):
-        d = _coerce_square_matrix(self.dist)
-        labels = _checked_labels(self.labels, len(d))
-        view = IntegerView.of(d)
-        _require_metric(view)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "dist", tuple(tuple(row) for row in d))
-        object.__setattr__(self, "view", view)
+        if not isinstance(self.view, IntegerView):
+            raise TypeError("a space is built from an IntegerView; use from_matrix for raw entries")
+        object.__setattr__(self, "labels", _checked_labels(self.labels, len(self.view)))
+        report = validate_metric(self.view)
+        if not report.ok:
+            raise MetricValidationError(report)
 
     @classmethod
     def from_matrix(cls, matrix, labels: Sequence[str] | None = None) -> "FiniteMetricSpace":
-        rows = [list(r) for r in matrix]
-        if labels is None:
-            labels = [f"p{i}" for i in range(len(rows))]
-        return cls(tuple(labels), tuple(tuple(r) for r in rows))
+        """The space of a matrix of raw entries, read by IntegerView.parse."""
+        return cls(labels, IntegerView.parse(matrix))
 
-    @classmethod
-    def from_view(
-        cls, view: IntegerView, labels: Sequence[str] | None = None
-    ) -> "FiniteMetricSpace":
-        """The space of a view built by IntegerView.parse or IntegerView.of.
-
-        Labels are checked as by the constructor and the axioms are always
-        validated on the view; dist holds one Fraction per distinct value.
-        """
-        n = len(view)
-        if labels is None:
-            labels = [f"p{i}" for i in range(n)]
-        labels = _checked_labels(labels, n)
-        _require_metric(view)
-        den = view.den
-        value = {v: Fraction(v, den) for v in set(chain.from_iterable(view.rows))}
-        space = object.__new__(cls)
-        object.__setattr__(space, "labels", labels)
-        object.__setattr__(
-            space, "dist", tuple(tuple(map(value.__getitem__, row)) for row in view.rows)
-        )
-        object.__setattr__(space, "view", view)
-        return space
+    @property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The matrix as Fractions, one per distinct value, built on each call."""
+        rows, den = self.view.rows, self.view.den
+        value = {v: Fraction(v, den) for v in set(chain.from_iterable(rows))}
+        return tuple(tuple(map(value.__getitem__, row)) for row in rows)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -338,7 +302,7 @@ class FiniteMetricSpace:
         return len(self.labels)
 
     def d(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
+        return Fraction(self.view.rows[i][j], self.view.den)
 
     def index_of(self, label: str) -> int:
         try:
@@ -348,6 +312,12 @@ class FiniteMetricSpace:
 
     def __repr__(self) -> str:
         return f"FiniteMetricSpace(n={self.n}, labels={list(self.labels)!r})"
+
+
+def common_rows(X: FiniteMetricSpace, Y: FiniteMetricSpace):
+    """X's and Y's integer rows over one common denominator, and that denominator."""
+    den = math.lcm(X.view.den, Y.view.den)
+    return X.view.scaled(den), Y.view.scaled(den), den
 
 
 @dataclass(frozen=True)
@@ -378,11 +348,7 @@ class PointSubset:
 
 def diameter(space: FiniteMetricSpace) -> Fraction:
     """Largest pairwise distance; 0 for the one-point space."""
-    n = space.n
-    return max(
-        (space.dist[i][j] for i in range(n) for j in range(i + 1, n)),
-        default=Fraction(0),
-    )
+    return Fraction(max(map(max, space.view.rows)), space.view.den)
 
 
 def closed_ball(space: FiniteMetricSpace, center: int, r) -> PointSubset:
@@ -392,7 +358,9 @@ def closed_ball(space: FiniteMetricSpace, center: int, r) -> PointSubset:
         raise DomainError(f"ball radius must be >= 0, got {radius}")
     if not 0 <= center < space.n:
         raise DomainError(f"center {center} out of range")
-    hits = frozenset(i for i in range(space.n) if space.dist[center][i] <= radius)
+    # v / den <= p / q, cross-multiplied
+    q, bound = radius.denominator, radius.numerator * space.view.den
+    hits = frozenset(i for i, v in enumerate(space.view.rows[center]) if v * q <= bound)
     return PointSubset(space, hits)  # never empty: the center is inside
 
 
@@ -446,15 +414,16 @@ def covering_number(space: FiniteMetricSpace, eps) -> int:
     epsilon = as_fraction(eps)
     if epsilon <= 0:
         raise DomainError(f"covering radius must be > 0, got {epsilon}")
-    n = space.n
+    # v / den < p / q, cross-multiplied
+    q, bound = epsilon.denominator, epsilon.numerator * space.view.den
     balls = []
-    for c in range(n):
+    for row in space.view.rows:
         mask = 0
-        for i in range(n):
-            if space.dist[c][i] < epsilon:
+        for i, v in enumerate(row):
+            if v * q < bound:
                 mask |= 1 << i
         balls.append(mask)
-    return _min_cover_size((1 << n) - 1, balls)
+    return _min_cover_size((1 << space.n) - 1, balls)
 
 
 def simplex(n: int, lam) -> FiniteMetricSpace:
@@ -467,9 +436,9 @@ def simplex(n: int, lam) -> FiniteMetricSpace:
     side = as_fraction(lam)
     if side <= 0:
         raise DomainError(f"simplex side must be > 0, got {side}")
-    zero = Fraction(0)
-    matrix = [[zero if i == j else side for j in range(n)] for i in range(n)]
-    return FiniteMetricSpace.from_matrix(matrix)
+    p = side.numerator
+    rows = [[0 if i == j else p for j in range(n)] for i in range(n)]
+    return FiniteMetricSpace(None, IntegerView(rows, side.denominator))
 
 
 def isolation_radius(space: FiniteMetricSpace, z: int) -> Fraction:
@@ -478,7 +447,8 @@ def isolation_radius(space: FiniteMetricSpace, z: int) -> Fraction:
         raise DomainError(f"point {z} out of range")
     if space.n == 1:
         raise DomainError("isolation radius is undefined on a one-point space")
-    return min(space.dist[z][i] for i in range(space.n) if i != z)
+    row = space.view.rows[z]
+    return Fraction(min(v for i, v in enumerate(row) if i != z), space.view.den)
 
 
 def random_metric_space(n: int, seed: int) -> FiniteMetricSpace:
@@ -491,20 +461,16 @@ def random_metric_space(n: int, seed: int) -> FiniteMetricSpace:
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     rng = random.Random(seed)
-    zero = Fraction(0)
-    d = [[zero] * n for _ in range(n)]
+    # entries p/q with q in {1, 2, 3, 4, 6}, as integers over lcm 12
+    a = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = Fraction(rng.randint(1, 24), rng.choice((1, 2, 3, 4, 6)))
-            d[i][j] = d[j][i] = v
-    # Floyd-Warshall on integers over the least common denominator
-    view = IntegerView.of(d)
-    a = list(view.rows)
+            p = rng.randint(1, 24)
+            a[i][j] = a[j][i] = p * (12 // rng.choice((1, 2, 3, 4, 6)))
+    # Floyd-Warshall on the integers
     for k in range(n):
         ak = a[k]
         for i in range(n):
             aik = a[i][k]
             a[i] = list(map(min, a[i], [aik + v for v in ak]))
-    return FiniteMetricSpace.from_matrix(
-        [[Fraction(v, view.den) for v in row] for row in a]
-    )
+    return FiniteMetricSpace(None, IntegerView(a, 12))

@@ -23,6 +23,7 @@ from ghsegments import (
     space_from_jsonable,
     space_to_csv,
     space_to_jsonable,
+    validate_metric,
 )
 from ghsegments.cli import main
 from tests.conftest import random_space, run_python
@@ -260,12 +261,28 @@ class TestParseDifferential:
         assert a.view.rows == ((0, 1), (1, 0)) and a.view.den == 2
 
     def test_entries_are_read_before_shape_and_sign(self) -> None:
-        rows = [["-1", "0"], ["0", "0", "x"], ["x", "1", "0"]]
-        for kind in ("json", "csv"):
-            got = _parse(kind, ["a", "b", "c"], rows)
-            assert str(got) == "cannot parse rational from 'x'"
-        got = _parse("json", None, [["0", "-2/4", "1"], ["0", "1"], ["1", "1", "0"]])
-        assert str(got) == "negative entry -1/2"
+        def read(kind, rows):
+            if kind in ("json", "csv"):
+                return _parse(kind, ["a", "b", "c"], rows)
+            try:
+                if kind == "validate_metric":
+                    return validate_metric(rows)
+                return FiniteMetricSpace.from_matrix(rows, ["a", "b", "c"])
+            except ToolkitError as exc:
+                return exc
+
+        cases = [
+            ([["-1", "0"], ["0", "0", "x"], ["x", "1", "0"]], "cannot parse rational from 'x'"),
+            ([["0", "-2/4", "1"], ["0", "1"], ["1", "1", "0"]], "negative entry -1/2"),
+            (
+                [["0", "1", "1"], ["1", "0"], ["-1", "1", "0"]],
+                "matrix is not square: 3 rows but a row of length 2",
+            ),
+        ]
+        for rows, message in cases:
+            for kind in ("json", "csv", "validate_metric", "from_matrix"):
+                got = read(kind, rows)
+                assert isinstance(got, MalformedInputError) and str(got) == message, kind
 
     @pytest.mark.parametrize("kind", ["json", "csv"])
     def test_planted_triangle_is_validated(self, kind: str) -> None:

@@ -10,17 +10,27 @@ import pytest
 from ghsegments import (
     DomainError,
     FiniteMetricSpace,
+    GraftParams,
     MalformedInputError,
     MetricValidationError,
     PointSubset,
+    Relation,
+    StarParams,
     closed_ball,
     covering_number,
     diameter,
+    identity_correspondence,
+    interpolate,
     isolation_radius,
     random_metric_space,
     simplex,
+    simplex_graft,
+    space_from_csv,
+    space_from_jsonable,
+    star_extension,
     validate_metric,
 )
+from ghsegments.spaces import IntegerView
 from tests.conftest import oracle_cover, oracle_validate, rows
 
 
@@ -69,6 +79,9 @@ class TestValidateMetric:
     def test_ragged_matrix_is_malformed(self) -> None:
         with pytest.raises(MalformedInputError):
             validate_metric([[0, 1], [1]])
+        for rows, den in (([[0, 1], [1]], 1), ([[0, -1], [-1, 0]], 2), ([[0, 1], [1, 0]], 0), ([], 1)):
+            with pytest.raises(MalformedInputError):
+                IntegerView(rows, den)
 
     def test_float_entry_is_malformed(self) -> None:
         with pytest.raises(MalformedInputError):
@@ -77,6 +90,20 @@ class TestValidateMetric:
     def test_string_fractions_accepted(self) -> None:
         rep = validate_metric([["0", "1/3"], ["1/3", "0"]])
         assert rep.ok
+
+
+def den6_space() -> FiniteMetricSpace:
+    """Entries 1/2, 1/3 and 5/6 (a tight triangle): view denominator 6."""
+    return FiniteMetricSpace.from_matrix(
+        [["0", "1/2", "5/6"], ["1/2", "0", "1/3"], ["5/6", "1/3", "0"]]
+    )
+
+
+def boundary_radii(X: FiniteMetricSpace) -> list[Fraction]:
+    """Every positive entry of X, and each over 7 and 11, denominators
+    coprime to the view's."""
+    entries = sorted({v for row in rows(X) for v in row if v})
+    return entries + [v * Fraction(k, q) for v in entries for k, q in ((5, 7), (13, 11))]
 
 
 def mixed_metric(rng: random.Random, n: int) -> list[list[Fraction]]:
@@ -154,10 +181,36 @@ class TestValidationAgainstOracle:
             for _ in range(10)
         ]
         spaces += [simplex(4, Fraction(7, 3)), line_space(0, 2, 5), random_metric_space(6, 9)]
+        # one space from every constructor, some where a denominator disappears
+        Z = line_space(0, 1, 3)
+        # t = 1/2 with every d_X + d_Y even: the sample has integer entries
+        even = interpolate(Z, line_space(0, 3, 5), identity_correspondence(3), Fraction(1, 2))
+        graft = simplex_graft(Z, GraftParams(0, Fraction(1, 3), 1))  # mu does not occur
+        halves = FiniteMetricSpace.from_matrix([["0", "2/4"], ["2/4", "0"]], ["a", "b"])
+        spaces += [random_metric_space(n, seed) for n, seed in ((1, 3), (4, 4), (9, 5))]
+        spaces += [simplex(1, Fraction(7, 3)), simplex(3, Fraction(4, 2)), den6_space()]
+        spaces += [
+            graft,
+            simplex_graft(Z, GraftParams(0, Fraction(1, 3), 3)),
+            simplex_graft(den6_space(), GraftParams(1, Fraction(3, 5), 4)),
+            star_extension(Z, StarParams(1, Fraction(1, 2))),
+            star_extension(den6_space(), StarParams(0, Fraction(2, 9))),
+            even.realized,
+            interpolate(Z, den6_space(), Relation.of((0, 0), (1, 2), (2, 1)), Fraction(2, 5)).realized,
+            halves,
+            space_from_jsonable({"dist": [[0, "6/4", "3"], ["3/2", 0, "9/6"], [3, "1.5", 0]]}),
+            space_from_csv("a,b\n0,4/6\n2/3,0\n"),
+        ]
         for X in spaces:
             view = X.view
             assert view.den == math.lcm(*(v.denominator for row in X.dist for v in row))
             assert [[Fraction(v, view.den) for v in row] for row in view.rows] == rows(X)
+            assert view == IntegerView.parse(X.dist)
+            Y = FiniteMetricSpace.from_matrix(X.dist, X.labels)
+            assert X == Y and hash(X) == hash(Y) and Y.view == view
+        assert graft.view == IntegerView(((0, 2, 1), (2, 0, 3), (1, 3, 0)), 1)
+        assert even.realized.view == IntegerView(((0, 2, 4), (2, 0, 2), (4, 2, 0)), 1)
+        assert halves.view == IntegerView(((0, 1), (1, 0)), 2)
 
 
 class TestFiniteMetricSpace:
@@ -165,6 +218,10 @@ class TestFiniteMetricSpace:
         with pytest.raises(MetricValidationError) as exc:
             FiniteMetricSpace.from_matrix([[0, 3, 1], [3, 0, 1], [1, 1, 0]])
         assert not exc.value.report.ok
+        with pytest.raises(MetricValidationError):
+            FiniteMetricSpace(None, IntegerView(((0, 3, 1), (3, 0, 1), (1, 1, 0)), 1))
+        with pytest.raises(TypeError):
+            FiniteMetricSpace(None, [[0, 1], [1, 0]])  # raw entries go through from_matrix
 
     def test_auto_labels(self) -> None:
         X = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
@@ -204,6 +261,14 @@ class TestClosedBall:
     def test_radius_one_includes_boundary(self) -> None:
         X = simplex(3, Fraction(1))
         assert closed_ball(X, 0, Fraction(1)).indices == frozenset({0, 1, 2})
+        # radii equal to an entry, and with denominators coprime to the view's
+        rng = random.Random(8)
+        for X in [den6_space()] + [random_metric_space(5, rng.randrange(10**9)) for _ in range(6)]:
+            d = rows(X)
+            for r in boundary_radii(X):
+                for c in range(X.n):
+                    want = frozenset(i for i in range(X.n) if d[c][i] <= r)
+                    assert closed_ball(X, c, r).indices == want
 
     def test_diameter_ball_is_everything(self) -> None:
         rng = random.Random(7)
@@ -235,6 +300,10 @@ class TestCoveringNumber:
             if eps == 0:
                 eps = Fraction(1)
             assert covering_number(X, eps) == oracle_cover(rows(X), eps)
+        # radii equal to an entry, and with denominators coprime to the view's
+        for X in [den6_space(), random_metric_space(6, 13), random_metric_space(5, 14)]:
+            for eps in boundary_radii(X) + [Fraction(5, 7)]:
+                assert covering_number(X, eps) == oracle_cover(rows(X), eps)
 
     def test_nonpositive_eps_rejected(self) -> None:
         with pytest.raises(DomainError):
@@ -268,6 +337,11 @@ class TestIsolationRadius:
     def test_line_middle_point(self) -> None:
         X = line_space(0, 1, 3)
         assert isolation_radius(X, 1) == 1
+        rng = random.Random(9)
+        for X in [den6_space()] + [random_metric_space(5, rng.randrange(10**9)) for _ in range(6)]:
+            d = rows(X)
+            for z in range(X.n):
+                assert isolation_radius(X, z) == min(d[z][i] for i in range(X.n) if i != z)
 
     def test_one_point_space_rejected(self) -> None:
         with pytest.raises(DomainError):
