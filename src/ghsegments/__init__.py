@@ -53,6 +53,7 @@ from .segments import (
     admissible_delta,
     admissible_mu,
     build_segment_family,
+    certify_by_lifts,
     lift_graft,
     lift_star,
     noncompactness_report,
@@ -117,6 +118,7 @@ __all__ = [
     "admissible_delta",
     "admissible_mu",
     "build_segment_family",
+    "certify_by_lifts",
     "lift_graft",
     "lift_star",
     "noncompactness_report",

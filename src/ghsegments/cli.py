@@ -14,6 +14,7 @@ JSON report to stdout (wall time goes to stderr). Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -45,6 +46,7 @@ from .segments import (
     StarParams,
     _pick_z_star,
     build_segment_family,
+    certify_by_lifts,
     segment_membership,
     simplex_graft,
     star_extension,
@@ -96,7 +98,7 @@ def _parse_labels(text: str) -> list[str]:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     if args.limit_nodes is not None:
-        cfg.node_budget = args.limit_nodes
+        cfg.limits = dataclasses.replace(cfg.limits, node_budget=args.limit_nodes)
     if getattr(args, "strict", False):
         cfg.strict = True
     return cfg
@@ -145,7 +147,7 @@ def cmd_validate(args, cfg: RunConfig, report: Report) -> int:
 def cmd_gh(args, cfg: RunConfig, report: Report) -> int:
     X = _load(report, args.x)
     Y = _load(report, args.y)
-    res = gh_exact(X, Y, limits=cfg.limits())
+    res = gh_exact(X, Y, limits=cfg.limits)
     pairs = correspondence_to_jsonable(res.optimal, X, Y)
     report.results = {
         "distance": frac_str(res.distance),
@@ -166,7 +168,7 @@ def cmd_geodesic(args, cfg: RunConfig, report: Report) -> int:
     X = _load(report, args.x)
     Y = _load(report, args.y)
     grid = _parse_fractions(args.ts) if args.ts else cfg.sample_grid
-    res = gh_exact(X, Y, limits=cfg.limits())
+    res = gh_exact(X, Y, limits=cfg.limits)
     report.nodes["gh_xy"] = res.nodes_explored
     R = res.optimal
     left, right = endpoint_lifts(R)
@@ -180,15 +182,15 @@ def cmd_geodesic(args, cfg: RunConfig, report: Report) -> int:
         space = sample.realized
         if t == 0:
             seed = identity_correspondence(X.n)
-            from_x = gh_exact(X, space, limits=cfg.limits(), initial=seed).distance
+            from_x = gh_exact(X, space, limits=cfg.limits, initial=seed).distance
             to_y = res.distance
         elif t == 1:
             seed = identity_correspondence(Y.n)
             from_x = res.distance
-            to_y = gh_exact(space, Y, limits=cfg.limits(), initial=seed).distance
+            to_y = gh_exact(space, Y, limits=cfg.limits, initial=seed).distance
         else:
-            from_x = gh_exact(X, space, limits=cfg.limits(), initial=left).distance
-            to_y = gh_exact(space, Y, limits=cfg.limits(), initial=right).distance
+            cert = certify_by_lifts(X, Y, space, left, right, res.distance, R)
+            from_x, to_y = cert.d_xz, cert.d_zy
         entry = {
             "t": frac_str(sample.t),
             "points": space.n,
@@ -223,7 +225,7 @@ def cmd_segment_check(args, cfg: RunConfig, report: Report) -> int:
     X = _load(report, args.x)
     Y = _load(report, args.y)
     Z = _load(report, args.z)
-    cert = segment_membership(X, Y, Z, limits=cfg.limits())
+    cert = segment_membership(X, Y, Z, limits=cfg.limits)
     report.results = _cert_jsonable(cert, X, Z, Y)
     return EXIT_OK
 
@@ -278,7 +280,7 @@ def _graft_family(args, cfg: RunConfig, report: Report, ms):
     Z = _load(report, args.z)
     z_star = Z.index_of(args.zstar) if args.zstar else None
     mu = as_fraction(args.mu) if args.mu else cfg.mu
-    return X, Y, build_segment_family(X, Y, Z, ms, z_star, mu, cfg.limits())
+    return X, Y, build_segment_family(X, Y, Z, ms, z_star, mu, cfg.limits)
 
 
 def cmd_family(args, cfg: RunConfig, report: Report) -> int:

@@ -1,7 +1,9 @@
 """Run configuration: solver caps, parameter overrides, output locations.
 
-A config file is a JSON object whose keys match RunConfig's fields;
-command-line flags override file values, which override the defaults.
+A config file is a JSON object whose keys match RunConfig's fields,
+with the fields of SolverLimits (bnb_max_side, node_budget) in place of
+`limits`; command-line flags override file values, which override the
+defaults.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from .spaces import as_fraction
 
 __all__ = ["RunConfig"]
 
+_LIMIT_KEYS = frozenset(f.name for f in dataclasses.fields(SolverLimits))
+
 
 @dataclass
 class RunConfig:
-    bnb_max_side: int = SolverLimits.bnb_max_side
-    node_budget: int | None = SolverLimits.node_budget
+    limits: SolverLimits = SolverLimits()
     sample_grid: tuple = DEFAULT_GRID
     delta: Fraction | None = None
     mu: Fraction | None = None
@@ -32,11 +35,6 @@ class RunConfig:
     strict: bool = False
     out: str | None = None
     out_dir: str | None = None
-
-    def limits(self) -> SolverLimits:
-        return SolverLimits(
-            bnb_max_side=self.bnb_max_side, node_budget=self.node_budget
-        )
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -49,7 +47,7 @@ class RunConfig:
             raise MalformedInputError(f"config {p} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedInputError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = {f.name for f in dataclasses.fields(cls)} - {"limits"} | _LIMIT_KEYS
         unknown = set(obj) - known
         if unknown:
             raise MalformedInputError(
@@ -57,13 +55,20 @@ class RunConfig:
             )
         cfg = cls()
         for key, value in obj.items():
-            setattr(cfg, key, _checked(key, value))
+            value = _checked(key, value)
+            if key in _LIMIT_KEYS:
+                cfg.limits = dataclasses.replace(cfg.limits, **{key: value})
+            else:
+                setattr(cfg, key, value)
         return cfg
 
     def to_jsonable(self) -> dict:
         out = {}
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
+            if isinstance(v, SolverLimits):
+                out.update(dataclasses.asdict(v))
+                continue
             if isinstance(v, Fraction):
                 v = str(v)
             elif isinstance(v, tuple):

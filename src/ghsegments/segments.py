@@ -22,8 +22,11 @@ members from an interior member Z:
   is not compact.
 
 build_segment_family certifies Z once (three solver runs, d_XY among
-them) and each W(mu, m) with two more, X-W and W-Y: X and Y are the
-same for every member, so d_XY and its witness are shared.
+them) and each W(mu, m) with none: the lifts of Z's two witnesses bound
+d_XW and d_WY from above, and when their halved distortions sum to the
+certified d_XY the triangle inequality makes both bounds exact (see
+certify_by_lifts). X and Y are the same for every member, so d_XY and
+its witness are shared, and no solver size cap limits m.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .correspondences import Correspondence, preimage, transpose
-from .exceptions import DomainError, HypothesisError
-from .solver import GhResult, SolverLimits, gh_exact
+from .correspondences import Correspondence, distortion, preimage, transpose
+from .exceptions import DomainError, HypothesisError, ToolkitError
+from .solver import SolverLimits, gh_exact
 from .spaces import (
     FiniteMetricSpace,
     IntegerView,
@@ -51,6 +54,7 @@ __all__ = [
     "GraftParams",
     "RationalInterval",
     "segment_membership",
+    "certify_by_lifts",
     "admissible_delta",
     "admissible_mu",
     "star_extension",
@@ -136,19 +140,49 @@ def segment_membership(
     rxz = gh_exact(X, Z, limits=limits)
     rzy = gh_exact(Z, Y, limits=limits)
     rxy = gh_exact(X, Y, limits=limits)
-    return _certificate(rxz, rzy, rxy.distance, rxy.optimal)
-
-
-def _certificate(
-    rxz: GhResult, rzy: GhResult, d_xy: Fraction, witness_xy: Correspondence
-) -> SegmentCertificate:
     return SegmentCertificate(
         d_xz=rxz.distance,
         d_zy=rzy.distance,
-        d_xy=d_xy,
-        member=rxz.distance + rzy.distance == d_xy,
+        d_xy=rxy.distance,
+        member=rxz.distance + rzy.distance == rxy.distance,
         witness_xz=rxz.optimal,
         witness_zy=rzy.optimal,
+        witness_xy=rxy.optimal,
+    )
+
+
+def certify_by_lifts(
+    X: FiniteMetricSpace,
+    Y: FiniteMetricSpace,
+    W: FiniteMetricSpace,
+    witness_xw: Correspondence,
+    witness_wy: Correspondence,
+    d_xy: Fraction,
+    witness_xy: Correspondence,
+) -> SegmentCertificate:
+    """Certify W as a member of [X, Y] from two correspondences, no solve.
+
+    d_XW <= dis(witness_xw)/2 and d_WY <= dis(witness_wy)/2, and d_XY
+    (certified by the caller) is at most d_XW + d_WY. When the two
+    halved distortions sum to d_XY, every inequality is tight, so both
+    bounds are the exact distances and the correspondences witness them.
+    The callers' lifts always tie, so a miss is a bug and raises
+    ToolkitError (an if, not an assert, so it survives python -O).
+    """
+    d_xw = distortion(X, W, witness_xw) / 2
+    d_wy = distortion(W, Y, witness_wy) / 2
+    if d_xw + d_wy != d_xy:
+        raise ToolkitError(
+            f"lifted witnesses give {d_xw} + {d_wy}, not d_XY = {d_xy}; "
+            "the lift does not certify membership"
+        )
+    return SegmentCertificate(
+        d_xz=d_xw,
+        d_zy=d_wy,
+        d_xy=d_xy,
+        member=True,
+        witness_xz=witness_xw,
+        witness_zy=witness_wy,
         witness_xy=witness_xy,
     )
 
@@ -357,10 +391,12 @@ def build_segment_family(
     of the admissible window; a caller-supplied radius outside the
     window is a hypothesis error.
 
-    Z's certificate solves d_XY once, and every member reuses that value
-    and its witness: X and Y never change. Each W then takes two solver
-    runs, X-W and W-Y, seeded with the lifted witnesses of Z but
-    certified from scratch. Covering numbers are taken at eps = mu/4.
+    Z's certificate takes the family's only three solver runs; every
+    member reuses d_XY and its witness, since X and Y never change. Each
+    W is certified by certify_by_lifts on the lifts of Z's two
+    witnesses: for mu in the window their distortions are 2 d_XZ and
+    2 d_ZY, so they tie with d_XY and the member needs no solve, whatever
+    its size. Covering numbers are taken at eps = mu/4.
     """
     ms = list(ms)
     if not ms:
@@ -394,11 +430,9 @@ def build_segment_family(
     entries = []
     for m in ms:
         W = simplex_graft(Z, GraftParams(zs, mu, m))
-        seed_xw = lift_graft(base.witness_xz, zs, m)
-        seed_wy = transpose(lift_graft(transpose(base.witness_zy), zs, m))
-        rxw = gh_exact(X, W, limits=limits, initial=seed_xw)
-        rwy = gh_exact(W, Y, limits=limits, initial=seed_wy)
-        cert = _certificate(rxw, rwy, base.d_xy, base.witness_xy)
+        lift_xw = lift_graft(base.witness_xz, zs, m)
+        lift_wy = transpose(lift_graft(transpose(base.witness_zy), zs, m))
+        cert = certify_by_lifts(X, Y, W, lift_xw, lift_wy, base.d_xy, base.witness_xy)
         entries.append(FamilyEntry(m, W, cert, covering_number(W, eps)))
     return NoncompactnessReport(
         z_star=zs,

@@ -594,6 +594,13 @@ class TestCliDeterminism:
         )
         assert code == 0
         assert json.loads(out)["config"] == every_key
+        # a flag replaces one solver limit and keeps the file's other one
+        code, out, _ = run(
+            capsys, "gh", str(spaces["x"]), str(spaces["y"]), "--config", str(cfg),
+            "--limit-nodes", "7",
+        )  # fmt: skip
+        assert code == 0
+        assert json.loads(out)["config"] == {**every_key, "node_budget": 7}
 
     def test_config_output_locations(self, capsys, spaces, tmp_path: Path) -> None:
         geo_dir, graft_out = tmp_path / "geo", tmp_path / "w.json"
@@ -625,6 +632,7 @@ class TestCliDeterminism:
         cfg = tmp_path / "cfg.json"
         for bad in (
             {"node_budgets": 2},
+            {"limits": {"node_budget": 2}},
             {"enumeration_cap": "x"},
             {"seed": 1},
             {"bnb_max_side": 0},

@@ -38,6 +38,7 @@ from tests.conftest import (
     random_correspondence,
     random_space,
     rows,
+    run_python,
 )
 
 WIDE = SolverLimits(bnb_max_side=16)
@@ -318,14 +319,86 @@ class TestFamilyAndReport:
             return gh_exact(A, B, **kwargs)
 
         monkeypatch.setattr(segments, "gh_exact", counting)
-        fam = build_segment_family(X, Y, Z, ms=(1, 2, 3), limits=WIDE)
-        # three solves certify Z, then X-W and W-Y for each member
-        assert len(calls) == 3 + 2 * 3
-        assert sum(A is X and B is Y for A, B in calls) == 1
         xy = gh_exact(X, Y, limits=WIDE)
-        for e in fam.entries:
-            assert e.certificate.d_xy == fam.d_xy == xy.distance
-            assert distortion(X, Y, e.certificate.witness_xy) == 2 * xy.distance
+        for ms in ((1, 2, 3), range(1, 41)):
+            calls.clear()
+            fam = build_segment_family(X, Y, Z, ms=ms, limits=WIDE)
+            # three solves certify Z; every member is certified by its lifts
+            assert len(calls) == 3
+            assert sum(A is X and B is Y for A, B in calls) == 1
+            assert [e.m for e in fam.entries] == list(ms)
+            for e in fam.entries:
+                assert e.certificate.d_xy == fam.d_xy == xy.distance
+                assert distortion(X, Y, e.certificate.witness_xy) == 2 * xy.distance
+
+    def test_lift_certificates_match_fresh_solves(self) -> None:
+        # interior midpoints of random pairs: every member's lifted
+        # certificate agrees with a from-scratch solve, and its witnesses
+        # realize the distances under the independent distortion oracle
+        rng = random.Random(1515)
+        audited = 0
+        while audited < 160:
+            X = random_space(rng, rng.randint(2, 4))
+            Y = random_space(rng, rng.randint(2, 4))
+            res = gh_exact(X, Y, limits=WIDE)
+            if res.distance == 0:
+                continue
+            Z = interpolate(X, Y, res.optimal, Fraction(1, 2)).realized
+            fam = build_segment_family(X, Y, Z, ms=(1, 2, 3, 4), limits=WIDE)
+            for e in fam.entries:
+                cert, W = e.certificate, e.space
+                assert cert.member and cert.d_xz == cert.d_zy == res.distance / 2
+                assert gh_exact(X, W, limits=WIDE).distance == cert.d_xz
+                assert gh_exact(W, Y, limits=WIDE).distance == cert.d_zy
+                xw = oracle_distortion(rows(X), rows(W), cert.witness_xz.sorted_pairs())
+                wy = oracle_distortion(rows(W), rows(Y), cert.witness_zy.sorted_pairs())
+                assert (xw, wy) == (2 * cert.d_xz, 2 * cert.d_zy)
+                audited += 1
+
+    def test_default_limits_family_is_not_capped_by_side(self) -> None:
+        # W(mu, 60) has 62 points, far above bnb_max_side = 10
+        X, Y, res, Z = midpoint_instance()
+        rep = noncompactness_report(X, Y, Z, m_max=60)
+        assert [e.m for e in rep.entries] == list(range(1, 61))
+        assert rep.entries[-1].space.n == Z.n - 1 + 60 > SolverLimits().bnb_max_side
+        assert rep.all_members and rep.cov_at_least_m
+        for e in rep.entries:
+            assert e.certificate.d_xz == e.certificate.d_zy == res.distance / 2
+            assert e.cov >= e.m
+
+    def test_untied_lift_is_refused_without_asserts(self) -> None:
+        # under python -O a dilating lift must still be refused; an assert
+        # would be stripped and let the family through
+        script = """
+import sys
+from fractions import Fraction
+from ghsegments import (
+    Correspondence, ToolkitError, build_segment_family, gh_exact, interpolate,
+    segments, simplex,
+)
+
+assert False, "asserts are live"
+real = segments.lift_graft
+
+def dilating(R, z_star, m):
+    L = real(R, z_star, m)
+    extra = min(w for w in range(L.ny) if (0, w) not in L.pairs)
+    return Correspondence(L.pairs | {(0, extra)}, L.nx, L.ny)
+
+segments.lift_graft = dilating
+X, Y = simplex(3, Fraction(1)), simplex(3, Fraction(2))
+Z = interpolate(X, Y, gh_exact(X, Y).optimal, Fraction(1, 2)).realized
+try:
+    build_segment_family(X, Y, Z, ms=(2,))
+except ToolkitError as exc:
+    print(type(exc).__name__, exc)
+    sys.exit(0)
+print("accepted")
+sys.exit(1)
+"""
+        proc = run_python("-O", "-c", script)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("ToolkitError lifted witnesses give")
 
     def test_family_on_nonmember_is_hypothesis_failure(self) -> None:
         X = simplex(2, Fraction(1))
