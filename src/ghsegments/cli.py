@@ -9,6 +9,7 @@ JSON report to stdout (wall time goes to stderr). Exit codes:
     4  metric validation failure
     5  solver size cap or node budget exceeded
     6  construction hypothesis not satisfied (no admissible parameters)
+    7  internal certificate check failed (a bug, never a property of the input)
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .exceptions import (
     MalformedInputError,
     MetricValidationError,
     ResourceLimitError,
+    ToolkitError,
 )
 from .formats import (
     correspondence_to_jsonable,
@@ -65,6 +67,7 @@ EXIT_MALFORMED = 3
 EXIT_VALIDATION = 4
 EXIT_RESOURCE = 5
 EXIT_HYPOTHESIS = 6
+EXIT_CERTIFICATE = 7
 
 
 def _parse_fractions(text: str) -> tuple[Fraction, ...]:
@@ -298,7 +301,7 @@ def cmd_family(args, cfg: RunConfig, report: Report) -> int:
         "entries": [
             {
                 "m": e.m,
-                "points": e.space.n,
+                "points": e.points,
                 "cov": e.cov,
                 "certificate": _cert_jsonable(e.certificate, X, e.space, Y),
                 "space": space_to_jsonable(e.space),
@@ -329,8 +332,8 @@ def cmd_report(args, cfg: RunConfig, report: Report) -> int:
                 "m": e.m,
                 "eps": eps,
                 "cov": e.cov,
-                "member": e.certificate.member,
-                "points": e.space.n,
+                "member": e.member,
+                "points": e.points,
             }
             for e in fam.entries
         ],
@@ -497,6 +500,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except ToolkitError as exc:  # a witness or lift that fails its own check
+        print(f"error: internal certificate check failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     except OSError as exc:  # an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -1,7 +1,8 @@
 """Error taxonomy shared by the library and the command line tool.
 
 Every failure mode maps to one exception class so the CLI can translate
-it into a stable exit code (see cli.EXIT_CODES).
+it into a stable exit code (see the cli module docstring). A bare
+ToolkitError is a certificate check that failed, which is a bug.
 """
 
 from __future__ import annotations

@@ -22,17 +22,27 @@ members from an interior member Z:
   is not compact.
 
 build_segment_family certifies Z once (three solver runs, d_XY among
-them) and each W(mu, m) with none: the lifts of Z's two witnesses bound
-d_XW and d_WY from above, and when their halved distortions sum to the
-certified d_XY the triangle inequality makes both bounds exact (see
-certify_by_lifts). X and Y are the same for every member, so d_XY and
-its witness are shared, and no solver size cap limits m.
-"""
+them) and every W(mu, m) from one finite check, since the simplex
+vertices are interchangeable and nothing depends on m beyond 3:
 
+* metric axioms: each axiom instance names at most 3 points, so W(mu, 3)
+  (validated in full) is a metric exactly when every W(mu, m >= 3) is;
+* membership: the lifts of Z's two witnesses bound d_XW and d_WY from
+  above, and when their halved distortions sum to the certified d_XY
+  the triangle inequality makes both exact (see certify_by_lifts). A
+  distortion looks at pairs of pairs, so every m >= 2 lift has the
+  distortion of the 2-lift; the check runs at m = 1 and m = 2 only;
+* covering: at eps = mu/4 < S(z*)/2 the open ball of a vertex is the
+  vertex alone and no ball centred in Z - z* reaches a vertex, so
+  cov(W(mu, m), eps) = m + cov(Z, eps) - 1.
+
+A member's space and lifted witnesses are built only when first read.
+"""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -331,11 +341,55 @@ def lift_graft(R: Correspondence, z_star: int, m: int) -> Correspondence:
 
 
 @dataclass(frozen=True)
+class _Graft:
+    """What the members of one family share: Z, the graft point and
+    radius, and Z's certificate, whose witnesses the members' lifts extend."""
+
+    Z: FiniteMetricSpace
+    z_star: int
+    mu: Fraction
+    base: SegmentCertificate
+
+    def space(self, m: int) -> FiniteMetricSpace:
+        return simplex_graft(self.Z, GraftParams(self.z_star, self.mu, m))
+
+    def lifts(self, m: int) -> tuple[Correspondence, Correspondence]:
+        """Z's witnesses lifted to X <-> W(mu, m) and W(mu, m) <-> Y."""
+        xw = lift_graft(self.base.witness_xz, self.z_star, m)
+        wy = transpose(lift_graft(transpose(self.base.witness_zy), self.z_star, m))
+        return xw, wy
+
+
+@dataclass(frozen=True)
 class FamilyEntry:
+    """One member W(mu, m) of a certified graft family.
+
+    m, points (Z.n - 1 + m) and cov (at eps = mu/4) are plain numbers,
+    and member is the verdict certified at min(m, 2). space and the
+    certificate's lifted witnesses are built on first read; a space built
+    that way is validated by its constructor like any other.
+    """
+
     m: int
-    space: FiniteMetricSpace
-    certificate: SegmentCertificate
+    points: int
     cov: int  # covering number of space at eps = mu/4
+    _certified: SegmentCertificate = field(repr=False)  # the member at min(m, 2)
+    _graft: _Graft = field(repr=False)
+
+    @property
+    def member(self) -> bool:
+        return self._certified.member
+
+    @cached_property
+    def space(self) -> FiniteMetricSpace:
+        return self._graft.space(self.m)
+
+    @cached_property
+    def certificate(self) -> SegmentCertificate:
+        if self.m <= 2:
+            return self._certified
+        xw, wy = self._graft.lifts(self.m)
+        return replace(self._certified, witness_xz=xw, witness_zy=wy)
 
 
 @dataclass(frozen=True)
@@ -362,7 +416,15 @@ class NoncompactnessReport:
 
     @property
     def all_members(self) -> bool:
-        return all(e.certificate.member for e in self.entries)
+        return all(e.member for e in self.entries)
+
+
+def _first_points(W: FiniteMetricSpace, n: int) -> FiniteMetricSpace:
+    """The subspace of W's first n points."""
+    if n == W.n:
+        return W
+    rows = [row[:n] for row in W.view.rows[:n]]
+    return FiniteMetricSpace(W.labels[:n], IntegerView(rows, W.view.den))
 
 
 def _pick_z_star(Z: FiniteMetricSpace) -> int:
@@ -392,11 +454,19 @@ def build_segment_family(
     window is a hypothesis error.
 
     Z's certificate takes the family's only three solver runs; every
-    member reuses d_XY and its witness, since X and Y never change. Each
-    W is certified by certify_by_lifts on the lifts of Z's two
-    witnesses: for mu in the window their distortions are 2 d_XZ and
-    2 d_ZY, so they tie with d_XY and the member needs no solve, whatever
-    its size. Covering numbers are taken at eps = mu/4.
+    member reuses d_XY and its witness, since X and Y never change. The
+    rest is one finite check, whatever the sizes in ms:
+
+    * W(mu, min(max(ms), 3)) is built, and so validated in full; the
+      members at m = 1 and m = 2 are its first Z.n - 1 + m points;
+    * certify_by_lifts runs on the lifts of Z's two witnesses at
+      min(m, 2), once for each such value; a member at m >= 2 has the
+      2-lift's distances, member flag and d_XY;
+    * cov(Z, mu/4) is taken once, and cov(W(mu, m), mu/4) is
+      m + cov(Z, mu/4) - 1.
+
+    No W and no lift at m >= 3 is built here: FamilyEntry builds its
+    space and its certificate's witnesses when they are first read.
     """
     ms = list(ms)
     if not ms:
@@ -427,13 +497,21 @@ def build_segment_family(
                 f"graft radius {mu} outside the admissible window {window}"
             )
     eps = mu / 4
-    entries = []
-    for m in ms:
-        W = simplex_graft(Z, GraftParams(zs, mu, m))
-        lift_xw = lift_graft(base.witness_xz, zs, m)
-        lift_wy = transpose(lift_graft(transpose(base.witness_zy), zs, m))
-        cert = certify_by_lifts(X, Y, W, lift_xw, lift_wy, base.d_xy, base.witness_xy)
-        entries.append(FamilyEntry(m, W, cert, covering_number(W, eps)))
+    graft = _Graft(Z, zs, mu, base)
+    top = graft.space(min(max(ms), 3))
+    certified = {}
+    for k in sorted({min(m, 2) for m in ms}):
+        W = _first_points(top, Z.n - 1 + k)
+        certified[k] = certify_by_lifts(
+            X, Y, W, *graft.lifts(k), base.d_xy, base.witness_xy
+        )
+    # mu < 2 S(z*) puts every vertex alone in its eps-ball, out of reach
+    # of Z - z*, whose cover is the one in Z less z*'s own ball
+    cov_z = covering_number(Z, eps)
+    entries = [
+        FamilyEntry(m, Z.n - 1 + m, m + cov_z - 1, certified[min(m, 2)], graft)
+        for m in ms
+    ]
     return NoncompactnessReport(
         z_star=zs,
         z_star_label=Z.labels[zs],
@@ -459,8 +537,9 @@ def noncompactness_report(
     """The certified family W(mu, 1..m_max), see build_segment_family.
 
     Each open eps-ball meets at most one simplex vertex when eps < mu/2,
-    so cov(W(mu, m), eps) >= m: the covering numbers grow without bound
-    along the family while every member stays in [X, Y].
+    so cov(W(mu, m), eps) >= m (at eps = mu/4 it is m + cov(Z, eps) - 1):
+    the covering numbers grow without bound along the family while every
+    member stays in [X, Y].
     """
     if m_max < 1:
         raise DomainError(f"m_max must be >= 1, got {m_max}")

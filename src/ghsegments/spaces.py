@@ -368,14 +368,14 @@ def _min_cover_size(universe: int, sets: list[int]) -> int:
     """Exact minimum number of the given bitmask sets whose union is universe."""
     # Drop dominated sets; a subset of another set never helps a minimum cover.
     keep: list[int] = []
-    for s in sorted(set(sets), key=lambda m: -bin(m).count("1")):
+    for s in sorted(set(sets), key=lambda m: -m.bit_count()):
         if not any(s & k == s for k in keep):
             keep.append(s)
     # Greedy upper bound, then depth-first search on the least-covered point.
     best = 0
     left = universe
     while left:
-        pick = max(keep, key=lambda m: bin(m & left).count("1"))
+        pick = max(keep, key=lambda m: (m & left).bit_count())
         left &= ~pick
         best += 1
 

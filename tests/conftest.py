@@ -123,6 +123,24 @@ def random_space(rng: random.Random, n: int) -> FiniteMetricSpace:
     return random_metric_space(n, seed=rng.randrange(10**9))
 
 
+def count_calls(monkeypatch, module, *names: str) -> dict[str, int]:
+    """Wrap each named function of module to count its calls; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name))
+    return calls
+
+
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this checkout's ghsegments."""
     env = dict(os.environ)

@@ -26,7 +26,7 @@ from ghsegments import (
     validate_metric,
 )
 from ghsegments.cli import main
-from tests.conftest import random_space, run_python
+from tests.conftest import count_calls, random_space, run_python
 
 
 @pytest.fixture()
@@ -496,6 +496,37 @@ class TestCliPipelines:
         )
         assert code == 6
         assert "error:" in err
+
+    @pytest.mark.parametrize("cmd", ["report", "family"])
+    def test_failed_certificate_is_exit_7(self, capsys, spaces, monkeypatch, cmd) -> None:
+        # a lift that dilates cannot tie with d_XY; that is a bug, never the
+        # input's fault, and gets its own code with nothing on stdout
+        from ghsegments import Correspondence, segments
+
+        real = segments.lift_graft
+
+        def dilating(R, z_star, m):
+            L = real(R, z_star, m)
+            extra = min(w for w in range(L.ny) if (0, w) not in L.pairs)
+            return Correspondence(L.pairs | {(0, extra)}, L.nx, L.ny)
+
+        monkeypatch.setattr(segments, "lift_graft", dilating)
+        code, out, err = run(capsys, cmd, *(str(spaces[k]) for k in "xyz"))
+        assert code == 7
+        assert out == ""
+        assert err.startswith("error: internal certificate check failed: lifted witnesses give")
+
+    def test_report_builds_no_member(self, capsys, spaces, monkeypatch) -> None:
+        # the table comes from the family's one check at m <= 3: no graft
+        # and no covering beyond it, however long the table
+        from ghsegments import segments
+
+        calls = count_calls(monkeypatch, segments, "simplex_graft", "covering_number")
+        code, out, _ = run(capsys, "report", *(str(spaces[k]) for k in "xyz"), "--m-max", "200")
+        assert code == 0
+        assert calls["simplex_graft"] <= 2 and calls["covering_number"] == 1
+        table = json.loads(out)["results"]["table"]
+        assert [(r["m"], r["points"]) for r in table] == [(m, m + 2) for m in range(1, 201)]
 
     def test_report_plot_data(self, capsys, spaces, tmp_path: Path) -> None:
         plot = tmp_path / "plot.csv"

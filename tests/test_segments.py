@@ -17,6 +17,8 @@ from ghsegments import (
     admissible_delta,
     admissible_mu,
     build_segment_family,
+    certify_by_lifts,
+    covering_number,
     distortion,
     full_product,
     gh_exact,
@@ -30,9 +32,11 @@ from ghsegments import (
     simplex,
     simplex_graft,
     star_extension,
+    transpose,
     validate_metric,
 )
 from tests.conftest import (
+    count_calls,
     oracle_cover,
     oracle_distortion,
     random_correspondence,
@@ -365,6 +369,58 @@ class TestFamilyAndReport:
         for e in rep.entries:
             assert e.certificate.d_xz == e.certificate.d_zy == res.distance / 2
             assert e.cov >= e.m
+
+    def test_uniform_family_matches_materialised_members(self) -> None:
+        # the family's numbers come from one check at m <= 3; each member
+        # must equal what building W(mu, m), certifying its own lifts and
+        # covering it give, at every graft point of random midpoints
+        rng = random.Random(1616)
+        ms = (1, 2, 3, 4, 7, 15, 60)
+        pairs = members = 0
+        while pairs < 6:
+            X = random_space(rng, rng.randint(2, 5))
+            Y = random_space(rng, rng.randint(2, 5))
+            res = gh_exact(X, Y, limits=WIDE)
+            if res.distance == 0:
+                continue
+            pairs += 1
+            Z = interpolate(X, Y, res.optimal, Fraction(1, 2)).realized
+            base = segment_membership(X, Y, Z, limits=WIDE)
+            for zs in range(Z.n):
+                fam = build_segment_family(X, Y, Z, ms=ms, z_star=zs, limits=WIDE)
+                assert [e.m for e in fam.entries] == list(ms)
+                for e in fam.entries:
+                    W = simplex_graft(Z, GraftParams(zs, fam.mu, e.m))
+                    xw = lift_graft(base.witness_xz, zs, e.m)
+                    wy = transpose(lift_graft(transpose(base.witness_zy), zs, e.m))
+                    cert = certify_by_lifts(X, Y, W, xw, wy, base.d_xy, base.witness_xy)
+                    cov = covering_number(W, fam.eps)
+                    got = e.certificate
+                    assert (got.d_xz, got.d_zy, got.d_xy, e.member, e.cov) == (
+                        cert.d_xz, cert.d_zy, cert.d_xy, cert.member, cov
+                    )
+                    assert e.points == W.n and e.space == W
+                    assert (got.witness_xz, got.witness_zy) == (xw, wy)
+                    dw = rows(W)
+                    assert oracle_distortion(rows(X), dw, got.witness_xz.sorted_pairs()) == 2 * got.d_xz
+                    assert oracle_distortion(dw, rows(Y), got.witness_zy.sorted_pairs()) == 2 * got.d_zy
+                    if e.m <= 7:
+                        assert cov == oracle_cover(dw, fam.eps)
+                    members += 1
+        assert members >= 6 * 2 * len(ms)
+
+    def test_huge_family_is_sized_without_building_members(self, monkeypatch) -> None:
+        X, Y, _, Z = midpoint_instance()
+        calls = count_calls(monkeypatch, segments, "simplex_graft", "covering_number")
+        rep = noncompactness_report(X, Y, Z, m_max=10_000)
+        assert calls["simplex_graft"] <= 2 and calls["covering_number"] == 1
+        last = rep.entries[-1]
+        cov_z = covering_number(Z, rep.eps)
+        assert last.m == 10_000
+        assert last.cov == 10_000 + cov_z - 1
+        assert last.points == Z.n - 1 + 10_000
+        assert rep.all_members and rep.cov_at_least_m
+        assert calls["simplex_graft"] <= 2  # reading member and cov built nothing
 
     def test_untied_lift_is_refused_without_asserts(self) -> None:
         # under python -O a dilating lift must still be refused; an assert
