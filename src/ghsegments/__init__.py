@@ -39,7 +39,6 @@ from .geodesics import (
     DEFAULT_GRID,
     InterpolatedSpace,
     endpoint_lifts,
-    geodesic_samples,
     interpolate,
 )
 from .hausdorff import HausdorffResult, hausdorff_distance, point_set_distance
@@ -54,6 +53,7 @@ from .segments import (
     admissible_mu,
     build_segment_family,
     certify_by_lifts,
+    geodesic_samples,
     lift_graft,
     lift_star,
     noncompactness_report,
@@ -104,7 +104,6 @@ __all__ = [
     "DEFAULT_GRID",
     "InterpolatedSpace",
     "endpoint_lifts",
-    "geodesic_samples",
     "interpolate",
     "HausdorffResult",
     "hausdorff_distance",
@@ -119,6 +118,7 @@ __all__ = [
     "admissible_mu",
     "build_segment_family",
     "certify_by_lifts",
+    "geodesic_samples",
     "lift_graft",
     "lift_star",
     "noncompactness_report",

@@ -1,7 +1,8 @@
 """Command line entry point.
 
 One command per invocation; every successful run prints a deterministic
-JSON report to stdout (wall time goes to stderr). Exit codes:
+JSON report to stdout (wall time goes to stderr). `geodesic` prints one
+gh_exact and its geodesic_samples. Exit codes:
 
     0  success
     2  command line usage error
@@ -23,7 +24,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import RunConfig
-from .correspondences import identity_correspondence
 from .exceptions import (
     DomainError,
     HypothesisError,
@@ -40,7 +40,6 @@ from .formats import (
     save_space,
     space_to_jsonable,
 )
-from .geodesics import endpoint_lifts, interpolate
 from .hausdorff import hausdorff_distance
 from .report import Report, digest_file
 from .segments import (
@@ -48,7 +47,7 @@ from .segments import (
     StarParams,
     _pick_z_star,
     build_segment_family,
-    certify_by_lifts,
+    geodesic_samples,
     segment_membership,
     simplex_graft,
     star_extension,
@@ -173,33 +172,21 @@ def cmd_geodesic(args, cfg: RunConfig, report: Report) -> int:
     grid = _parse_fractions(args.ts) if args.ts else cfg.sample_grid
     res = gh_exact(X, Y, limits=cfg.limits)
     report.nodes["gh_xy"] = res.nodes_explored
-    R = res.optimal
-    left, right = endpoint_lifts(R)
+    # every sample is built and certified before anything is written
+    certified = geodesic_samples(X, Y, res.optimal, res.distance, grid)
     out_dir = args.out_dir or cfg.out_dir
     out_dir = Path(out_dir) if out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     samples = []
-    for idx, t in enumerate(grid):
-        sample = interpolate(X, Y, R, t)
+    for idx, (sample, cert) in enumerate(certified):
         space = sample.realized
-        if t == 0:
-            seed = identity_correspondence(X.n)
-            from_x = gh_exact(X, space, limits=cfg.limits, initial=seed).distance
-            to_y = res.distance
-        elif t == 1:
-            seed = identity_correspondence(Y.n)
-            from_x = res.distance
-            to_y = gh_exact(space, Y, limits=cfg.limits, initial=seed).distance
-        else:
-            cert = certify_by_lifts(X, Y, space, left, right, res.distance, R)
-            from_x, to_y = cert.d_xz, cert.d_zy
         entry = {
             "t": frac_str(sample.t),
             "points": space.n,
-            "gh_from_x": frac_str(from_x),
-            "gh_to_y": frac_str(to_y),
-            "on_segment": from_x + to_y == res.distance,
+            "gh_from_x": frac_str(cert.d_xz),
+            "gh_to_y": frac_str(cert.d_zy),
+            "on_segment": cert.member,
         }
         if out_dir is not None:
             name = f"sample_{idx:02d}.json"
@@ -210,7 +197,7 @@ def cmd_geodesic(args, cfg: RunConfig, report: Report) -> int:
         samples.append(entry)
     report.results = {
         "distance": frac_str(res.distance),
-        "correspondence": correspondence_to_jsonable(R, X, Y),
+        "correspondence": correspondence_to_jsonable(res.optimal, X, Y),
         "samples": samples,
     }
     if out_dir is not None:

@@ -86,7 +86,10 @@ def _checked(key: str, value):
     if key == "ms":
         return tuple(_int_at_least(key, v, 1) for v in _list(key, value))
     if key == "sample_grid":
-        return tuple(as_fraction(v) for v in _list(key, value))
+        grid = tuple(as_fraction(v) for v in _list(key, value))
+        if not all(0 <= t <= 1 for t in grid):
+            raise MalformedInputError(f"config {key} must be in [0, 1], got {value!r}")
+        return grid
     if key in ("delta", "mu"):
         return None if value is None else as_fraction(value)
     if key == "strict":

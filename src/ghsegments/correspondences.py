@@ -26,6 +26,7 @@ __all__ = [
     "Correspondence",
     "is_correspondence",
     "distortion",
+    "integer_distortion",
     "minimize_correspondence",
     "preimage",
     "image",
@@ -167,6 +168,12 @@ def distortion(X: FiniteMetricSpace, Y: FiniteMetricSpace, sigma: Relation) -> F
                 f"pair ({a}, {b}) out of range for {X.n} x {Y.n} spaces"
             )
     dx, dy, scale = common_rows(X, Y)
+    return Fraction(integer_distortion(dx, dy, pairs), scale)
+
+
+def integer_distortion(dx, dy, pairs) -> int:
+    """Distortion of a pair list over rows of one common denominator, as
+    an integer over it; shared by distortion and the solver's incumbent."""
     worst = 0
     for i, (a, b) in enumerate(pairs):
         da = dx[a]
@@ -177,4 +184,4 @@ def distortion(X: FiniteMetricSpace, Y: FiniteMetricSpace, sigma: Relation) -> F
                 gap = -gap
             if gap > worst:
                 worst = gap
-    return Fraction(worst, scale)
+    return worst

@@ -10,15 +10,17 @@ metrics (distinct pairs keep positive distance, so no quotient is
 needed in the interior). When sigma is a correspondence R, the curve
 t -> R_t with R_0 = X and R_1 = Y realizes a geodesic: for an optimal R,
 d_GH(R_s, R_t) = |s - t| * d_GH(X, Y).
+
+Only the constructions live here: R_t, and the projections endpoint_lifts
+witnessing d(X, R_t) and d(R_t, Y); segments.geodesic_samples certifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .correspondences import Correspondence, Relation, distortion, is_correspondence
+from .correspondences import Correspondence, Relation, is_correspondence
 from .exceptions import DomainError
 from .spaces import FiniteMetricSpace, IntegerView, as_fraction, common_rows
 
@@ -26,7 +28,6 @@ __all__ = [
     "InterpolatedSpace",
     "DEFAULT_GRID",
     "interpolate",
-    "geodesic_samples",
     "endpoint_lifts",
 ]
 
@@ -119,31 +120,3 @@ def endpoint_lifts(R: Correspondence) -> tuple[Correspondence, Correspondence]:
         frozenset((i, b) for i, (_, b) in enumerate(pairs)), len(pairs), R.ny
     )
     return left, right
-
-
-def geodesic_samples(
-    X: FiniteMetricSpace,
-    Y: FiniteMetricSpace,
-    R: Correspondence,
-    ts: Sequence | None = None,
-    audit: bool = False,
-) -> list[InterpolatedSpace]:
-    """Sample the curve R_t at the given parameters (default five-point grid).
-
-    With audit=True the optimality of R is re-certified against a fresh
-    gh_exact run before sampling; a non-optimal R still yields a curve
-    of metric spaces, but not a shortest one, so the audit refuses it.
-    """
-    if R.nx != X.n or R.ny != Y.n:
-        raise DomainError("correspondence shape does not match the spaces")
-    if audit:
-        from .solver import gh_exact
-
-        reference = gh_exact(X, Y, initial=R)
-        if distortion(X, Y, R) != 2 * reference.distance:
-            raise DomainError(
-                f"correspondence has distortion {distortion(X, Y, R)}, "
-                f"but d_GH is {reference.distance}; not a geodesic witness"
-            )
-    grid = DEFAULT_GRID if ts is None else tuple(as_fraction(t) for t in ts)
-    return [interpolate(X, Y, R, t) for t in grid]

@@ -5,8 +5,10 @@ Z lies in the segment [X, Y] exactly when
     d_GH(X, Z) + d_GH(Z, Y) = d_GH(X, Y)
 
 and membership here is decided by exact rational equality on certified
-gh_exact values, never by tolerance. Two constructions produce new
-members from an interior member Z:
+gh_exact values, never by tolerance. geodesic_samples certifies every
+sample R_t of a geodesic, the endpoints included, from the one X-Y
+solve (see certify_by_lifts). Two constructions produce new members
+from an interior member Z:
 
 * star extension Z*: one extra point z* whose distance to z is delta
   inside the closed delta-ball around a base point z0 and d(z0, z)
@@ -46,8 +48,15 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .correspondences import Correspondence, distortion, preimage, transpose
+from .correspondences import (
+    Correspondence,
+    distortion,
+    identity_correspondence,
+    preimage,
+    transpose,
+)
 from .exceptions import DomainError, HypothesisError, ToolkitError
+from .geodesics import DEFAULT_GRID, InterpolatedSpace, endpoint_lifts, interpolate
 from .solver import SolverLimits, gh_exact
 from .spaces import (
     FiniteMetricSpace,
@@ -65,6 +74,7 @@ __all__ = [
     "RationalInterval",
     "segment_membership",
     "certify_by_lifts",
+    "geodesic_samples",
     "admissible_delta",
     "admissible_mu",
     "star_extension",
@@ -195,6 +205,38 @@ def certify_by_lifts(
         witness_zy=witness_wy,
         witness_xy=witness_xy,
     )
+
+
+def geodesic_samples(
+    X: FiniteMetricSpace,
+    Y: FiniteMetricSpace,
+    R: Correspondence,
+    d_xy: Fraction,
+    ts: Sequence | None = None,
+) -> list[tuple[InterpolatedSpace, SegmentCertificate]]:
+    """The samples R_t (default five-point grid), each certified in [X, Y].
+
+    d_xy is the certified d_GH(X, Y), and an R with dis R != 2 d_xy is
+    refused (by an if, which python -O keeps). No sample takes a solve:
+    certify_by_lifts ties R_0 = X by (identity, R), R_1 = Y by
+    (R, identity) and an interior R_t by endpoint_lifts(R).
+    """
+    if R.nx != X.n or R.ny != Y.n:
+        raise DomainError("correspondence shape does not match the spaces")
+    dis = distortion(X, Y, R)
+    if dis != 2 * d_xy:
+        raise DomainError(
+            f"correspondence has distortion {dis}, but d_GH is {d_xy}; "
+            "not a geodesic witness"
+        )
+    grid = DEFAULT_GRID if ts is None else tuple(as_fraction(t) for t in ts)
+    samples = [interpolate(X, Y, R, t) for t in grid]
+    ends = {0: (identity_correspondence(X.n), R), 1: (R, identity_correspondence(Y.n))}
+    interior = endpoint_lifts(R)
+    return [
+        (s, certify_by_lifts(X, Y, s.realized, *ends.get(s.t, interior), d_xy, R))
+        for s in samples
+    ]
 
 
 def admissible_delta(d_xz, d_zy) -> RationalInterval:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .correspondences import Correspondence, distortion
+from .correspondences import Correspondence, distortion, integer_distortion
 from .exceptions import DomainError, ResourceLimitError, ToolkitError
 from .spaces import FiniteMetricSpace, common_rows, diameter
 
@@ -147,25 +147,12 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
     na, nb = A.n, B.n
     full_cols = (1 << nb) - 1
 
-    def scaled_dis(pairs) -> int:
-        ps = sorted(pairs)
-        worst = 0
-        for i, (a, b) in enumerate(ps):
-            ra, rb = dA[a], dB[b]
-            for a2, b2 in ps[i + 1 :]:
-                v = ra[a2] - rb[b2]
-                if v < 0:
-                    v = -v
-                if v > worst:
-                    worst = v
-        return worst
-
     if initial is not None:
         inc_pairs = {(b, a) for a, b in initial.pairs} if flip else set(initial.pairs)
     else:
         inc_pairs = {(a, b) for a in range(na) for b in range(nb)}
     best_pairs = frozenset(inc_pairs)
-    best_val = scaled_dis(best_pairs)
+    best_val = integer_distortion(dA, dB, sorted(best_pairs))
 
     ecc = [max(row) for row in dA]
     cls = _swap_classes(dA)

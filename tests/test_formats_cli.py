@@ -444,6 +444,56 @@ class TestCliPipelines:
         res = json.loads(out)["results"]
         assert all(entry["on_segment"] for entry in res["samples"])
 
+    def test_geodesic_takes_one_solve(self, capsys, spaces, monkeypatch) -> None:
+        # d_XY is the only solve: every sample, t = 0 and t = 1 included,
+        # is certified by lifts of its witness
+        from ghsegments import cli, segments, solver
+
+        calls = {
+            mod.__name__: count_calls(monkeypatch, mod, "gh_exact")
+            for mod in (cli, segments, solver)
+        }
+        code, out, _ = run(capsys, "geodesic", str(spaces["x"]), str(spaces["y"]))
+        assert code == 0
+        assert {k: c["gh_exact"] for k, c in calls.items()} == {
+            "ghsegments.cli": 1,
+            "ghsegments.segments": 0,
+            "ghsegments.solver": 0,
+        }
+        res = json.loads(out)["results"]
+        assert [(s["t"], s["gh_from_x"], s["gh_to_y"]) for s in res["samples"]] == [
+            ("0", "0", "1/2"),
+            ("1/4", "1/8", "3/8"),
+            ("1/2", "1/4", "1/4"),
+            ("3/4", "3/8", "1/8"),
+            ("1", "1/2", "0"),
+        ]
+
+    def test_geodesic_endpoint_above_the_side_cap(self, capsys, tmp_path: Path) -> None:
+        # Y has 15 points, above the branch-and-bound cap 10; d(X, Y) is
+        # solvable against a point, and the t = 1 sample Y needs no solve
+        pt, y15 = tmp_path / "pt.json", tmp_path / "y15.json"
+        save_space(simplex(1, Fraction(1)), pt)
+        save_space(random_metric_space(15, seed=3), y15)
+        code, out, err = run(capsys, "geodesic", str(pt), str(y15))
+        assert code == 0, err
+        res = json.loads(out)["results"]
+        assert res["distance"] == "7/4"
+        last = res["samples"][-1]
+        assert (last["t"], last["points"], last["gh_from_x"], last["gh_to_y"]) == (
+            "1", 15, "7/4", "0"
+        )
+
+    def test_geodesic_refused_grid_writes_nothing(self, capsys, spaces, tmp_path: Path) -> None:
+        out_dir = tmp_path / "geo"
+        code, out, err = run(
+            capsys, "geodesic", str(spaces["x"]), str(spaces["y"]),
+            "--ts", "0,1/2,3/2", "--out-dir", str(out_dir),
+        )  # fmt: skip
+        assert code == 3
+        assert out == "" and "error:" in err
+        assert not out_dir.exists()
+
     def test_star_subcommand_writes_space(self, capsys, spaces, tmp_path: Path) -> None:
         out_path = tmp_path / "zstar.json"
         code, out, _ = run(
@@ -676,6 +726,8 @@ class TestCliDeterminism:
             {"ms": [2, "3"]},
             {"strict": "yes"},
             {"sample_grid": "1/2"},
+            {"sample_grid": ["3/2"]},
+            {"sample_grid": ["0", "-1/4"]},
             {"out": 7},
         ):
             cfg.write_text(json.dumps(bad))

@@ -21,7 +21,7 @@ from ghsegments import (
     random_metric_space,
     simplex,
 )
-from tests.conftest import random_space
+from tests.conftest import oracle_distortion, random_space, rows, run_python
 
 WIDE = SolverLimits(bnb_max_side=16)
 
@@ -101,39 +101,67 @@ class TestGeodesicSamples:
     def test_endpoints_recover_inputs(self) -> None:
         X = random_metric_space(3, seed=31)
         Y = random_metric_space(4, seed=32)
-        R = gh_exact(X, Y).optimal
-        samples = geodesic_samples(X, Y, R, ts=(Fraction(0), Fraction(1)))
-        assert samples[0].realized == X
-        assert samples[1].realized == Y
+        res = gh_exact(X, Y)
+        samples = geodesic_samples(
+            X, Y, res.optimal, res.distance, ts=(Fraction(0), Fraction(1))
+        )
+        assert samples[0][0].realized == X
+        assert samples[1][0].realized == Y
 
     def test_segment_identity_along_samples(self) -> None:
+        # every certificate, the endpoints' included, matches fresh solves,
+        # and its witnesses have the certified distortions
         rng = random.Random(777)
         for _ in range(10):
             X, Y = random_space(rng, rng.randint(2, 4)), random_space(rng, rng.randint(2, 4))
             res = gh_exact(X, Y, limits=WIDE)
             R, d = minimize_correspondence(res.optimal), res.distance
-            left, right = endpoint_lifts(R)
-            for s in geodesic_samples(X, Y, R):
-                if s.t in (0, 1):
-                    continue
-                dx = gh_exact(X, s.realized, limits=WIDE, initial=left).distance
-                dy = gh_exact(s.realized, Y, limits=WIDE, initial=right).distance
+            for s, cert in geodesic_samples(X, Y, R, d):
+                W = s.realized
+                dx = gh_exact(X, W, limits=WIDE).distance
+                dy = gh_exact(W, Y, limits=WIDE).distance
                 assert dx + dy == d
                 assert dx == s.t * d
+                assert (cert.d_xz, cert.d_zy, cert.d_xy, cert.member) == (dx, dy, d, True)
+                for A, B, sigma, value in (
+                    (X, W, cert.witness_xz, dx),
+                    (W, Y, cert.witness_zy, dy),
+                    (X, Y, cert.witness_xy, d),
+                ):
+                    assert oracle_distortion(rows(A), rows(B), sigma.pairs) == 2 * value
 
     def test_rejects_non_correspondence_shape(self) -> None:
         X = random_metric_space(3, seed=41)
         Y = random_metric_space(3, seed=42)
         wrong = Correspondence.of(2, 2, (0, 0), (1, 1))
         with pytest.raises(DomainError):
-            geodesic_samples(X, Y, wrong)
+            geodesic_samples(X, Y, wrong, gh_exact(X, Y).distance)
 
     def test_audit_flags_suboptimal_relation(self) -> None:
         X = simplex(2, Fraction(1))
         Y = simplex(2, Fraction(3))
         sloppy = full_product(2, 2)
-        # dis = 3 while the optimum is 2, so the audit must refuse
-        with pytest.raises(DomainError):
-            geodesic_samples(X, Y, sloppy, audit=True)
-        samples = geodesic_samples(X, Y, sloppy, audit=False)
-        assert len(samples) == len(DEFAULT_GRID)
+        d = gh_exact(X, Y).distance
+        # dis = 3 while 2 d_XY = 2, so the samples must be refused
+        with pytest.raises(DomainError, match="not a geodesic witness"):
+            geodesic_samples(X, Y, sloppy, d)
+
+    def test_refusal_survives_python_O(self) -> None:
+        script = """
+import sys
+from fractions import Fraction
+from ghsegments import DomainError, full_product, geodesic_samples, simplex
+
+assert False, "asserts are live"
+X, Y = simplex(2, Fraction(1)), simplex(2, Fraction(3))
+try:
+    geodesic_samples(X, Y, full_product(2, 2), Fraction(1))
+except DomainError as exc:
+    print(type(exc).__name__, exc)
+    sys.exit(0)
+print("accepted")
+sys.exit(1)
+"""
+        proc = run_python("-O", "-c", script)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("DomainError correspondence has distortion 3")
