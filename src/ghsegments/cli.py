@@ -2,7 +2,12 @@
 
 One command per invocation; every successful run prints a deterministic
 JSON report to stdout (wall time goes to stderr). `geodesic` prints one
-gh_exact and its geodesic_samples. Exit codes:
+gh_exact and its geodesic_samples.
+
+The settings that run are one RunConfig: its defaults, then the --config
+file, then each override flag that was given (a flag's dest is its
+config key), every value checked by RunConfig.set. The report echoes
+that effective config. Exit codes:
 
     0  success
     2  command line usage error
@@ -16,14 +21,12 @@ gh_exact and its geodesic_samples. Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
-from .config import RunConfig
+from .config import KEYS, RunConfig
 from .exceptions import (
     DomainError,
     HypothesisError,
@@ -55,7 +58,6 @@ from .segments import (
 from .solver import gh_exact
 from .spaces import (
     PointSubset,
-    as_fraction,
     isolation_radius,
     validate_metric,
 )
@@ -67,20 +69,6 @@ EXIT_VALIDATION = 4
 EXIT_RESOURCE = 5
 EXIT_HYPOTHESIS = 6
 EXIT_CERTIFICATE = 7
-
-
-def _parse_fractions(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInputError(f"cannot parse fraction list {text!r}") from exc
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise MalformedInputError(f"cannot parse integer list {text!r}") from exc
 
 
 def _budget(text: str) -> int:
@@ -99,10 +87,18 @@ def _parse_labels(text: str) -> list[str]:
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.limit_nodes is not None:
-        cfg.limits = dataclasses.replace(cfg.limits, node_budget=args.limit_nodes)
-    if getattr(args, "strict", False):
-        cfg.strict = True
+    for key in KEYS:
+        value = getattr(args, key, None)
+        if value is None:
+            continue
+        if key in ("sample_grid", "ms"):  # comma separated
+            value = [part.strip() for part in value.split(",") if part.strip()]
+        if key == "ms":
+            try:
+                value = [int(part) for part in value]
+            except ValueError as exc:
+                raise MalformedInputError(f"ms must be integers, got {args.ms!r}") from exc
+        cfg.set(key, value)
     return cfg
 
 
@@ -169,13 +165,11 @@ def cmd_gh(args, cfg: RunConfig, report: Report) -> int:
 def cmd_geodesic(args, cfg: RunConfig, report: Report) -> int:
     X = _load(report, args.x)
     Y = _load(report, args.y)
-    grid = _parse_fractions(args.ts) if args.ts else cfg.sample_grid
     res = gh_exact(X, Y, limits=cfg.limits)
     report.nodes["gh_xy"] = res.nodes_explored
     # every sample is built and certified before anything is written
-    certified = geodesic_samples(X, Y, res.optimal, res.distance, grid)
-    out_dir = args.out_dir or cfg.out_dir
-    out_dir = Path(out_dir) if out_dir else None
+    certified = geodesic_samples(X, Y, res.optimal, res.distance, cfg.sample_grid)
+    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     samples = []
@@ -223,32 +217,29 @@ def cmd_segment_check(args, cfg: RunConfig, report: Report) -> int:
 def cmd_star(args, cfg: RunConfig, report: Report) -> int:
     Z = _load(report, args.z)
     z0 = Z.index_of(args.z0)
-    delta = as_fraction(args.delta) if args.delta is not None else cfg.delta
-    if delta is None:
+    if cfg.delta is None:
         raise MalformedInputError("star needs --delta (or a config value)")
-    star = star_extension(Z, StarParams(z0, delta))
+    star = star_extension(Z, StarParams(z0, cfg.delta))
     report.results = {
         "z0": args.z0,
-        "delta": frac_str(delta),
+        "delta": frac_str(cfg.delta),
         "points": star.n,
         "space": space_to_jsonable(star),
     }
-    out = args.out or cfg.out
-    if out:
-        save_space(star, out)
+    if cfg.out:
+        save_space(star, cfg.out)
     return EXIT_OK
 
 
 def cmd_graft(args, cfg: RunConfig, report: Report) -> int:
     Z = _load(report, args.z)
     z_star = Z.index_of(args.zstar) if args.zstar else _pick_z_star(Z)
-    mu = as_fraction(args.mu) if args.mu is not None else cfg.mu
-    if mu is None:
+    if cfg.mu is None:
         raise MalformedInputError("graft needs --mu (or a config value)")
-    W = simplex_graft(Z, GraftParams(z_star, mu, args.m), strict=cfg.strict)
+    W = simplex_graft(Z, GraftParams(z_star, cfg.mu, args.m), strict=cfg.strict)
     results = {
         "z_star": Z.labels[z_star],
-        "mu": frac_str(mu),
+        "mu": frac_str(cfg.mu),
         "m": args.m,
         "points": W.n,
         "space": space_to_jsonable(W),
@@ -256,9 +247,8 @@ def cmd_graft(args, cfg: RunConfig, report: Report) -> int:
     if Z.n >= 2:
         results["isolation"] = frac_str(isolation_radius(Z, z_star))
     report.results = results
-    out = args.out or cfg.out
-    if out:
-        save_space(W, out)
+    if cfg.out:
+        save_space(W, cfg.out)
     return EXIT_OK
 
 
@@ -269,13 +259,11 @@ def _graft_family(args, cfg: RunConfig, report: Report, ms):
     Y = _load(report, args.y)
     Z = _load(report, args.z)
     z_star = Z.index_of(args.zstar) if args.zstar else None
-    mu = as_fraction(args.mu) if args.mu else cfg.mu
-    return X, Y, build_segment_family(X, Y, Z, ms, z_star, mu, cfg.limits)
+    return X, Y, build_segment_family(X, Y, Z, ms, z_star, cfg.mu, cfg.limits)
 
 
 def cmd_family(args, cfg: RunConfig, report: Report) -> int:
-    ms = _parse_ints(args.ms) if args.ms else cfg.ms
-    X, Y, fam = _graft_family(args, cfg, report, ms)
+    X, Y, fam = _graft_family(args, cfg, report, cfg.ms)
     eps = frac_str(fam.eps)
     report.results = {
         "z_star": fam.z_star_label,
@@ -303,8 +291,7 @@ def cmd_family(args, cfg: RunConfig, report: Report) -> int:
 
 
 def cmd_report(args, cfg: RunConfig, report: Report) -> int:
-    m_max = args.m_max if args.m_max is not None else cfg.m_max
-    _, _, fam = _graft_family(args, cfg, report, range(1, m_max + 1))
+    _, _, fam = _graft_family(args, cfg, report, range(1, cfg.m_max + 1))
     eps = frac_str(fam.eps)
     report.results = {
         "z_star": fam.z_star_label,
@@ -328,9 +315,8 @@ def cmd_report(args, cfg: RunConfig, report: Report) -> int:
     if args.plot_data:
         lines = ["m,cov"] + [f"{e.m},{e.cov}" for e in fam.entries]
         Path(args.plot_data).write_text("\n".join(lines) + "\n")
-    out = args.out or cfg.out
-    if out:
-        Path(out).write_text(report.to_json())
+    if cfg.out:
+        Path(cfg.out).write_text(report.to_json())
     return EXIT_OK
 
 
@@ -353,10 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (RunConfig keys)")
     common.add_argument(
-        "--limit-nodes", type=_budget, default=None, help="solver node budget"
+        "--limit-nodes",
+        dest="node_budget",
+        metavar="LIMIT_NODES",
+        type=_budget,
+        help="solver node budget",
     )
     common.add_argument(
-        "--strict", action="store_true", help="strict admissibility validation"
+        "--strict",
+        action="store_true",
+        default=None,
+        help="strict admissibility validation",
     )
 
     parser = argparse.ArgumentParser(
@@ -389,7 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--ts", help="comma separated parameters, default 0,1/4,1/2,3/4,1")
+    p.add_argument(
+        "--ts",
+        dest="sample_grid",
+        metavar="TS",
+        help="comma separated parameters, default 0,1/4,1/2,3/4,1",
+    )
     p.add_argument("--out-dir", help="write one matrix file per sample plus a manifest")
     p.set_defaults(handler=cmd_geodesic)
 
@@ -434,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("z")
-    p.add_argument("--m-max", type=int, default=None)
+    p.add_argument("--m-max", type=int)
     p.add_argument("--zstar", help="grafted point label (default: most isolated)")
     p.add_argument("--mu", help="graft radius p/q (default: midpoint of the window)")
     p.add_argument("--plot-data", metavar="PATH", help="write m,cov columns as CSV")
@@ -465,7 +463,7 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
         report.config = cfg.to_jsonable()
         code = args.handler(args, cfg, report)
-    except MalformedInputError as exc:
+    except (MalformedInputError, DomainError, OSError) as exc:  # OSError: unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except MetricValidationError as exc:
@@ -484,15 +482,9 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
     except ToolkitError as exc:  # a witness or lift that fails its own check
         print(f"error: internal certificate check failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except OSError as exc:  # an output path that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
     sys.stdout.write(report.to_json())
     elapsed = time.perf_counter() - started
     print(f"[{elapsed:.3f}s]", file=sys.stderr)

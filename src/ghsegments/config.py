@@ -1,9 +1,10 @@
 """Run configuration: solver caps, parameter overrides, output locations.
 
-A config file is a JSON object whose keys match RunConfig's fields,
-with the fields of SolverLimits (bnb_max_side, node_budget) in place of
-`limits`; command-line flags override file values, which override the
-defaults.
+A config file is a JSON object whose keys (KEYS) match RunConfig's
+fields, with the fields of SolverLimits (bnb_max_side, node_budget) in
+place of `limits`. RunConfig.set checks one key's value and stores it;
+file values and command-line flags both go through it, flags last, so
+a flag overrides the file, which overrides the defaults.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from .geodesics import DEFAULT_GRID
 from .solver import SolverLimits
 from .spaces import as_fraction
 
-__all__ = ["RunConfig"]
+__all__ = ["KEYS", "RunConfig"]
 
-_LIMIT_KEYS = frozenset(f.name for f in dataclasses.fields(SolverLimits))
+_LIMIT_KEYS = tuple(f.name for f in dataclasses.fields(SolverLimits))
 
 
 @dataclass
@@ -47,38 +48,44 @@ class RunConfig:
             raise MalformedInputError(f"config {p} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise MalformedInputError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)} - {"limits"} | _LIMIT_KEYS
-        unknown = set(obj) - known
+        unknown = set(obj) - set(KEYS)
         if unknown:
             raise MalformedInputError(
                 f"unknown config keys: {', '.join(sorted(unknown))}"
             )
         cfg = cls()
         for key, value in obj.items():
-            value = _checked(key, value)
-            if key in _LIMIT_KEYS:
-                cfg.limits = dataclasses.replace(cfg.limits, **{key: value})
-            else:
-                setattr(cfg, key, value)
+            cfg.set(key, value)
         return cfg
+
+    def set(self, key: str, value) -> None:
+        """Check one key's value, given in config-file form, and store it."""
+        value = _checked(key, value)
+        if key in _LIMIT_KEYS:
+            self.limits = dataclasses.replace(self.limits, **{key: value})
+        else:
+            setattr(self, key, value)
 
     def to_jsonable(self) -> dict:
         out = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, SolverLimits):
-                out.update(dataclasses.asdict(v))
-                continue
+        for key in KEYS:
+            v = getattr(self.limits if key in _LIMIT_KEYS else self, key)
             if isinstance(v, Fraction):
                 v = str(v)
             elif isinstance(v, tuple):
                 v = [str(x) if isinstance(x, Fraction) else x for x in v]
-            out[f.name] = v
+            out[key] = v
         return out
 
 
+# the keys of a config file: SolverLimits' fields in place of `limits`
+KEYS = _LIMIT_KEYS + tuple(
+    f.name for f in dataclasses.fields(RunConfig) if f.name != "limits"
+)
+
+
 def _checked(key: str, value):
-    """A config file value, type- and range-checked, in RunConfig's form."""
+    """A config value, type- and range-checked, in RunConfig's form."""
     if key == "bnb_max_side" or key == "m_max":
         return _int_at_least(key, value, 1)
     if key == "node_budget":
@@ -88,30 +95,26 @@ def _checked(key: str, value):
     if key == "sample_grid":
         grid = tuple(as_fraction(v) for v in _list(key, value))
         if not all(0 <= t <= 1 for t in grid):
-            raise MalformedInputError(f"config {key} must be in [0, 1], got {value!r}")
+            raise MalformedInputError(f"{key} must be in [0, 1], got {value!r}")
         return grid
     if key in ("delta", "mu"):
         return None if value is None else as_fraction(value)
     if key == "strict":
         if not isinstance(value, bool):
-            raise MalformedInputError(
-                f"config {key} must be true or false, got {value!r}"
-            )
+            raise MalformedInputError(f"{key} must be true or false, got {value!r}")
         return value
     if value is not None and not isinstance(value, str):  # out, out_dir
-        raise MalformedInputError(f"config {key} must be a path or null, got {value!r}")
+        raise MalformedInputError(f"{key} must be a path or null, got {value!r}")
     return value
 
 
 def _int_at_least(key: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise MalformedInputError(
-            f"config {key} must be an integer >= {least}, got {value!r}"
-        )
+        raise MalformedInputError(f"{key} must be an integer >= {least}, got {value!r}")
     return value
 
 
 def _list(key: str, value) -> list:
     if not isinstance(value, list):
-        raise MalformedInputError(f"config {key} must be a list, got {value!r}")
+        raise MalformedInputError(f"{key} must be a list, got {value!r}")
     return value

@@ -1,9 +1,10 @@
 """Deterministic run reports.
 
-A report echoes the command, digests every input file, and carries the
-exact results plus solver node counts. Identical inputs and config
-produce byte-identical report text; anything non-reproducible (wall
-time) goes to stderr instead.
+A report echoes the command and the effective config (defaults, config
+file and flags merged, so the config that ran), digests every input
+file, and carries the exact results plus solver node counts. Identical
+inputs and config produce byte-identical report text; anything
+non-reproducible (wall time) goes to stderr instead.
 """
 
 from __future__ import annotations

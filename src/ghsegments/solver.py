@@ -166,15 +166,11 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
 
     budget = limits.node_budget
     nodes = 0
-    lower_cache: Fraction | None = None
 
     def out_of_budget():
-        nonlocal lower_cache
-        if lower_cache is None:
-            lower_cache = gh_lower_bound(X, Y)
         raise ResourceLimitError(
             f"node budget {budget} exhausted",
-            lower=lower_cache,
+            lower=gh_lower_bound(X, Y),
             upper=Fraction(best_val, 2 * scale),
             nodes=nodes,
         )
@@ -225,9 +221,7 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
                 bound = m
         if bound >= best_val:
             return
-        left = full_cols & ~covered
-        b = 0
-        lv = left
+        lv = full_cols & ~covered
         while lv:
             lb = lv & -lv
             bcol = lb.bit_length() - 1

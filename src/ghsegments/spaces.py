@@ -371,14 +371,6 @@ def _min_cover_size(universe: int, sets: list[int]) -> int:
     for s in sorted(set(sets), key=lambda m: -m.bit_count()):
         if not any(s & k == s for k in keep):
             keep.append(s)
-    # Greedy upper bound, then depth-first search on the least-covered point.
-    best = 0
-    left = universe
-    while left:
-        pick = max(keep, key=lambda m: (m & left).bit_count())
-        left &= ~pick
-        best += 1
-
     cover_of: dict[int, list[int]] = {}
     p = 0
     u = universe
@@ -387,6 +379,21 @@ def _min_cover_size(universe: int, sets: list[int]) -> int:
             cover_of[p] = [s for s in keep if s >> p & 1]
         u >>= 1
         p += 1
+    # A set that alone covers some point is in every cover: take those
+    # first, so the search below never recurses once per forced set.
+    forced = 0
+    left = universe
+    for p, cands in cover_of.items():
+        if len(cands) == 1 and left >> p & 1:
+            left &= ~cands[0]
+            forced += 1
+    # Greedy upper bound, then depth-first search on the least-covered point.
+    best = forced
+    rest = left
+    while rest:
+        pick = max(keep, key=lambda m: (m & rest).bit_count())
+        rest &= ~pick
+        best += 1
 
     def search(left: int, used: int, best: int) -> int:
         if not left:
@@ -402,7 +409,7 @@ def _min_cover_size(universe: int, sets: list[int]) -> int:
             best = search(left & ~s, used + 1, best)
         return best
 
-    return search(universe, 0, best)
+    return search(left, forced, best)
 
 
 def covering_number(space: FiniteMetricSpace, eps) -> int:

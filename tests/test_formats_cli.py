@@ -709,6 +709,62 @@ class TestCliDeterminism:
         assert (flag_dir / "sample_00.json").exists()
         assert json.loads((geo_dir / "manifest.json").read_text()) == manifest
 
+    @pytest.mark.parametrize(
+        "base, flag, setting",
+        [
+            ("geodesic {x} {y}", ["--ts", "0,1/2"], {"sample_grid": ["0", "1/2"]}),
+            ("geodesic {x} {y} --ts 1/2", ["--out-dir", "{tmp}/geo"], {"out_dir": "{tmp}/geo"}),
+            ("star {z} --z0 (p0,p0)", ["--delta", "1/4"], {"delta": "1/4"}),
+            ("graft {z} --m 3", ["--mu", "1/4"], {"mu": "1/4"}),
+            ("family {x} {y} {z}", ["--ms", "2,3"], {"ms": [2, 3]}),
+            ("report {x} {y} {z}", ["--m-max", "3"], {"m_max": 3}),
+            ("star {z} --z0 (p0,p0) --delta 1/2", ["--out", "{tmp}/s.json"], {"out": "{tmp}/s.json"}),
+            ("graft {z} --m 3 --mu 1/4", ["--strict"], {"strict": True}),
+            ("gh {x} {y}", ["--limit-nodes", "1000"], {"node_budget": 1000}),
+        ],
+        ids=["ts", "out-dir", "delta", "mu", "ms", "m-max", "out", "strict", "limit-nodes"],
+    )
+    def test_flag_and_config_key_agree(
+        self, capsys, spaces, tmp_path: Path, base, flag, setting
+    ) -> None:
+        # a flag and its config key give the same results, and the echoed
+        # config is the one that ran, whichever way a value was set
+        def fill(v):
+            return v.format(**spaces, tmp=tmp_path) if isinstance(v, str) else v
+
+        argv = [fill(a) for a in base.split()]
+        setting = {key: fill(v) for key, v in setting.items()}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        by_flag = run(capsys, *argv, *map(fill, flag))
+        by_file = run(capsys, *argv, "--config", str(cfg))
+        assert by_flag[0] == by_file[0] == 0
+        got, want = json.loads(by_flag[1]), json.loads(by_file[1])
+        assert got["results"] == want["results"]
+        assert got["config"] == want["config"]
+        assert {key: got["config"][key] for key in setting} == setting
+
+    def test_bad_flag_value_is_exit_3_before_input_is_read(
+        self, capsys, tmp_path: Path
+    ) -> None:
+        # bad.json fails validation (exit 4) once read; a bad value exits 3 first
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dist": [[0, 3, 1], [3, 0, 1], [1, 1, 0]]}))
+        b = str(bad)
+        for argv in (
+            ["geodesic", b, b, "--ts", "3/2"],
+            ["geodesic", b, b, "--ts", "0,x"],
+            ["family", b, b, b, "--ms", "2,x"],
+            ["family", b, b, b, "--ms", "0"],
+            ["report", b, b, b, "--m-max", "0"],
+            ["graft", b, "--m", "2", "--mu", "x"],
+            ["star", b, "--z0", "p0", "--delta", "1/0"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == "" and "error:" in err, argv
+        assert run(capsys, "report", b, b, b)[0] == 4
+        assert run(capsys, "report", b, b, b, "--m-max", "x")[0] == 2
+
     def test_unknown_config_key_is_exit_3(self, capsys, spaces, tmp_path: Path) -> None:
         cfg = tmp_path / "cfg.json"
         for bad in (

@@ -30,7 +30,7 @@ from ghsegments import (
     star_extension,
     validate_metric,
 )
-from ghsegments.spaces import IntegerView
+from ghsegments.spaces import IntegerView, _min_cover_size
 from tests.conftest import oracle_cover, oracle_validate, rows
 
 
@@ -304,6 +304,16 @@ class TestCoveringNumber:
         for X in [den6_space(), random_metric_space(6, 13), random_metric_space(5, 14)]:
             for eps in boundary_radii(X) + [Fraction(5, 7)]:
                 assert covering_number(X, eps) == oracle_cover(rows(X), eps)
+
+    def test_many_forced_sets_do_not_recurse(self) -> None:
+        # the balls of a large simplex at eps below its side: each point's
+        # only cover is its own singleton, so every set is forced
+        n = 1500
+        assert _min_cover_size((1 << n) - 1, [1 << i for i in range(n)]) == n
+        # forced sets plus a rest that still needs the search: {0, 1, 2}
+        # as three pairs takes two of them
+        sets = [0b011, 0b110, 0b101] + [1 << i for i in range(3, n)]
+        assert _min_cover_size((1 << n) - 1, sets) == n - 1
 
     def test_nonpositive_eps_rejected(self) -> None:
         with pytest.raises(DomainError):
