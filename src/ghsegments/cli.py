@@ -236,7 +236,7 @@ def cmd_graft(args, cfg: RunConfig, report: Report) -> int:
     z_star = Z.index_of(args.zstar) if args.zstar else _pick_z_star(Z)
     if cfg.mu is None:
         raise MalformedInputError("graft needs --mu (or a config value)")
-    W = simplex_graft(Z, GraftParams(z_star, cfg.mu, args.m), strict=cfg.strict)
+    W = simplex_graft(Z, GraftParams(z_star, cfg.mu, args.m))
     results = {
         "z_star": Z.labels[z_star],
         "mu": frac_str(cfg.mu),
@@ -344,12 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LIMIT_NODES",
         type=_budget,
         help="solver node budget",
-    )
-    common.add_argument(
-        "--strict",
-        action="store_true",
-        default=None,
-        help="strict admissibility validation",
     )
 
     parser = argparse.ArgumentParser(

@@ -33,7 +33,6 @@ class RunConfig:
     mu: Fraction | None = None
     ms: tuple = (2, 3, 4)
     m_max: int = 5
-    strict: bool = False
     out: str | None = None
     out_dir: str | None = None
 
@@ -91,18 +90,22 @@ def _checked(key: str, value):
     if key == "node_budget":
         return None if value is None else _int_at_least(key, value, 0)
     if key == "ms":
-        return tuple(_int_at_least(key, v, 1) for v in _list(key, value))
+        ms = tuple(_int_at_least(key, v, 1) for v in _list(key, value))
+        if not ms:
+            raise MalformedInputError(f"{key} must be a non-empty list")
+        return ms
     if key == "sample_grid":
         grid = tuple(as_fraction(v) for v in _list(key, value))
         if not all(0 <= t <= 1 for t in grid):
             raise MalformedInputError(f"{key} must be in [0, 1], got {value!r}")
         return grid
     if key in ("delta", "mu"):
-        return None if value is None else as_fraction(value)
-    if key == "strict":
-        if not isinstance(value, bool):
-            raise MalformedInputError(f"{key} must be true or false, got {value!r}")
-        return value
+        if value is None:
+            return None
+        radius = as_fraction(value)
+        if radius <= 0:
+            raise MalformedInputError(f"{key} must be > 0, got {value!r}")
+        return radius
     if value is not None and not isinstance(value, str):  # out, out_dir
         raise MalformedInputError(f"{key} must be a path or null, got {value!r}")
     return value

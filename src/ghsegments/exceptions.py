@@ -54,6 +54,6 @@ class ResourceLimitError(ToolkitError):
 class HypothesisError(ToolkitError):
     """The construction's hypothesis does not hold for the given data,
     so no admissible parameters exist: zero distances where positive
-    ones are required, a midpoint that is an endpoint, an empty
-    admissibility interval, a graft radius that is too large.
+    ones are required, a Z outside the segment or at one of its
+    endpoints, a graft radius outside the admissible window.
     """

@@ -1,4 +1,5 @@
-"""On-disk formats: spaces as JSON or CSV, correspondences as JSON.
+"""On-disk formats: spaces as JSON or CSV, read and written, and
+correspondences written as JSON lists of [x_label, y_label] pairs.
 
 Rationals travel as "p/q" strings (or bare integers on input). Any
 string that fractions.Fraction reads exactly is accepted, decimals such
@@ -33,7 +34,6 @@ __all__ = [
     "load_space",
     "save_space",
     "correspondence_to_jsonable",
-    "correspondence_from_jsonable",
 ]
 
 
@@ -152,16 +152,3 @@ def correspondence_to_jsonable(
     if R.nx != X.n or R.ny != Y.n:
         raise MalformedInputError("correspondence shape does not match the spaces")
     return [[X.labels[a], Y.labels[b]] for a, b in R.sorted_pairs()]
-
-
-def correspondence_from_jsonable(
-    obj, X: FiniteMetricSpace, Y: FiniteMetricSpace
-) -> Correspondence:
-    if not isinstance(obj, list):
-        raise MalformedInputError("expected a list of [x_label, y_label] pairs")
-    pairs = set()
-    for item in obj:
-        if not isinstance(item, list) or len(item) != 2:
-            raise MalformedInputError(f"bad pair entry {item!r}")
-        pairs.add((X.index_of(item[0]), Y.index_of(item[1])))
-    return Correspondence(frozenset(pairs), X.n, Y.n)

@@ -128,12 +128,6 @@ class RationalInterval:
     lo_open: bool = True
     hi_open: bool = False
 
-    @property
-    def empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and (self.lo_open or self.hi_open)
-
     def contains(self, q) -> bool:
         v = as_fraction(q)
         above = v > self.lo if self.lo_open else v >= self.lo
@@ -311,23 +305,18 @@ def lift_star(R: Correspondence, z0: int) -> Correspondence:
     """
     if not 0 <= z0 < R.ny:
         raise DomainError(f"base point {z0} out of range")
-    owners = preimage(R, z0)
-    if not owners:
-        raise DomainError(f"no pair covers point {z0}; not a correspondence")
-    pairs = set(R.pairs) | {(x, R.ny) for x in owners}
+    pairs = set(R.pairs) | {(x, R.ny) for x in preimage(R, z0)}
     return Correspondence(frozenset(pairs), R.nx, R.ny + 1)
 
 
-def simplex_graft(
-    Z: FiniteMetricSpace, params: GraftParams, strict: bool = False
-) -> FiniteMetricSpace:
+def simplex_graft(Z: FiniteMetricSpace, params: GraftParams) -> FiniteMetricSpace:
     """W(mu, m): remove z*, glue in an m-point simplex of side mu.
 
     Distances: within Z - z* unchanged; between a simplex vertex and
     w in Z - z*, the old d(z*, w); mu between distinct simplex vertices.
     W(mu, 1) is isometric to Z for any mu. For m >= 2 the triangle
-    inequality forces mu <= 2 S(z*); the strict flag tightens that to
-    the admissibility-style strict bound mu < 2 S(z*).
+    inequality forces mu <= 2 S(z*), so mu = 2 S(z*) is still a metric;
+    whether mu keeps W in a segment is a separate check, see admissible_mu.
     """
     mu = as_fraction(params.mu)
     m = params.m
@@ -339,10 +328,10 @@ def simplex_graft(
         raise DomainError(f"graft point {params.z_star} out of range")
     if Z.n >= 2 and m >= 2:
         s = isolation_radius(Z, params.z_star)
-        if mu > 2 * s or (strict and mu >= 2 * s):
+        if mu > 2 * s:
             raise DomainError(
                 f"graft radius {mu} too large for isolation radius {s} "
-                f"(needs mu {'<' if strict else '<='} {2 * s})"
+                f"(needs mu <= {2 * s})"
             )
     keep = [i for i in range(Z.n) if i != params.z_star]
     den, rows, side = _over_common_den(Z, mu)
@@ -370,8 +359,6 @@ def lift_graft(R: Correspondence, z_star: int, m: int) -> Correspondence:
         raise DomainError(f"simplex size must be >= 1, got {m}")
     if not 0 <= z_star < R.ny:
         raise DomainError(f"graft point {z_star} out of range")
-    if not preimage(R, z_star):
-        raise DomainError(f"no pair covers point {z_star}; not a correspondence")
     base = R.ny - 1
     pairs: set[tuple[int, int]] = set()
     for x, z in R.pairs:

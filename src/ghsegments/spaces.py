@@ -56,16 +56,7 @@ def as_fraction(value) -> Fraction:
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, bool):
-        raise MalformedInputError(f"not a rational distance: {value!r}")
-    if isinstance(value, Rational):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInputError(f"cannot parse rational from {value!r}") from exc
-    raise MalformedInputError(f"not a rational distance: {value!r}")
+    return Fraction(*_rational_parts(value))
 
 
 def _rational_parts(value) -> tuple[int, int]:
@@ -73,8 +64,9 @@ def _rational_parts(value) -> tuple[int, int]:
 
     An int (not a bool), a Fraction, and an ASCII 'p' or 'p/q' string
     with q != 0, surrounding whitespace stripped, are read directly;
-    everything else goes through as_fraction, so the same values are
-    accepted and the same messages raised.
+    any other string goes through fractions.Fraction, which also reads
+    decimals such as '0.5'. Other rationals are accepted; bools, floats
+    and everything else are refused.
     """
     t = type(value)
     if t is int:
@@ -91,7 +83,15 @@ def _rational_parts(value) -> tuple[int, int]:
                     return int(num), q
             except ValueError:  # more digits than int() converts
                 pass
-    f = as_fraction(value)
+    if isinstance(value, str):
+        try:
+            f = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedInputError(f"cannot parse rational from {value!r}") from exc
+    elif isinstance(value, Rational) and not isinstance(value, bool):
+        f = Fraction(value)
+    else:
+        raise MalformedInputError(f"not a rational distance: {value!r}")
     return f.numerator, f.denominator
 
 
@@ -104,12 +104,8 @@ class Violation:
     lhs: Fraction
     rhs: Fraction
 
-    def describe(self, labels: Sequence[str] | None = None) -> str:
-        pts = (
-            ", ".join(labels[i] for i in self.witness)
-            if labels is not None
-            else ", ".join(str(i) for i in self.witness)
-        )
+    def describe(self) -> str:
+        pts = ", ".join(str(i) for i in self.witness)
         return f"{self.axiom} violated at ({pts}): {self.lhs} vs {self.rhs}"
 
 

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from ghsegments import (
     GraftParams,
@@ -219,3 +221,12 @@ def test_08_hausdorff_metric_axioms_over_all_subset_triples() -> None:
                 for C in subsets:
                     assert table[A.indices, C.indices] <= ab + table[B.indices, C.indices]
     print("PASS: 2 random 5-point spaces, all 31^3 subset triples satisfy the axioms")
+
+
+def test_09_readme_python_blocks_run() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    print(f"PASS: {len(blocks)} python block(s) of README.md run clean")

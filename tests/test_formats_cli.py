@@ -370,10 +370,20 @@ class TestCliBasics:
         ):
             assert run(capsys, "gh", x, x, *flags)[0] == 2
 
-    def test_missing_input_file_is_exit_3(self, capsys, tmp_path: Path) -> None:
+    def test_missing_input_file_is_exit_3(self, capsys, spaces, tmp_path: Path) -> None:
         code, _, err = run(capsys, "gh", str(tmp_path / "nope.json"), str(tmp_path / "nope.json"))
         assert code == 3
         assert "error:" in err
+        # a setting or label list that is missing from a readable input
+        x, z = str(spaces["x"]), str(spaces["z"])
+        for argv in (
+            ["star", z, "--z0", "(p0,p0)"],
+            ["graft", z, "--m", "2"],
+            ["hausdorff", x, "--a", ",", "--b", "p0"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == "" and err.startswith("error:"), argv
+            assert len(err.splitlines()) == 1, argv
 
     @pytest.mark.parametrize(
         "name, data",
@@ -381,12 +391,20 @@ class TestCliBasics:
             ("latin.json", b'\xff{"dist": [[0]]}'),
             ("latin.csv", b"a\n\xff\n"),
             ("long.json", b'{"dist": [[0, ' + b"1" * 5000 + b'], [1, 0]]}'),
+            ("array.json", b"[1]"),
+            ("dist.json", b'{"dist": "x"}'),
+            ("labels.json", b'{"dist": [["0"]], "labels": [1]}'),
+            ("blank.csv", b"\n"),
         ],
-        ids=["not-utf8-json", "not-utf8-csv", "long-int-json"],
+        ids=[
+            "not-utf8-json", "not-utf8-csv", "long-int-json",
+            "json-array", "dist-not-rows", "labels-not-strings", "blank-csv",
+        ],  # fmt: skip
     )
     def test_unreadable_file_is_exit_3(self, capsys, spaces, tmp_path: Path, name, data) -> None:
-        # bytes that are not UTF-8, and a JSON int longer than int() converts,
-        # as a space file and as a config file
+        # bytes that are not UTF-8, a JSON int longer than int() converts,
+        # and documents of the wrong shape, as a space file and as a config
+        # file
         path = tmp_path / name
         path.write_bytes(data)
         x = str(spaces["x"])
@@ -665,7 +683,6 @@ class TestCliDeterminism:
             "mu": None,
             "ms": [2, 3],
             "m_max": 3,
-            "strict": True,
             "out": None,
             "out_dir": None,
         }
@@ -719,10 +736,9 @@ class TestCliDeterminism:
             ("family {x} {y} {z}", ["--ms", "2,3"], {"ms": [2, 3]}),
             ("report {x} {y} {z}", ["--m-max", "3"], {"m_max": 3}),
             ("star {z} --z0 (p0,p0) --delta 1/2", ["--out", "{tmp}/s.json"], {"out": "{tmp}/s.json"}),
-            ("graft {z} --m 3 --mu 1/4", ["--strict"], {"strict": True}),
             ("gh {x} {y}", ["--limit-nodes", "1000"], {"node_budget": 1000}),
         ],
-        ids=["ts", "out-dir", "delta", "mu", "ms", "m-max", "out", "strict", "limit-nodes"],
+        ids=["ts", "out-dir", "delta", "mu", "ms", "m-max", "out", "limit-nodes"],
     )
     def test_flag_and_config_key_agree(
         self, capsys, spaces, tmp_path: Path, base, flag, setting
@@ -756,6 +772,10 @@ class TestCliDeterminism:
             ["geodesic", b, b, "--ts", "0,x"],
             ["family", b, b, b, "--ms", "2,x"],
             ["family", b, b, b, "--ms", "0"],
+            ["family", b, b, b, "--ms", ","],
+            ["family", b, b, b, "--mu", "0"],
+            ["graft", b, "--m", "2", "--mu", "0"],
+            ["star", b, "--z0", "p0", "--delta", "0"],
             ["report", b, b, b, "--m-max", "0"],
             ["graft", b, "--m", "2", "--mu", "x"],
             ["star", b, "--z0", "p0", "--delta", "1/0"],
@@ -780,6 +800,9 @@ class TestCliDeterminism:
             {"m_max": 0},
             {"ms": 3},
             {"ms": [2, "3"]},
+            {"ms": []},
+            {"mu": "0"},
+            {"delta": "-1/2"},
             {"strict": "yes"},
             {"sample_grid": "1/2"},
             {"sample_grid": ["3/2"]},

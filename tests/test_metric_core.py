@@ -30,7 +30,7 @@ from ghsegments import (
     star_extension,
     validate_metric,
 )
-from ghsegments.spaces import IntegerView, _min_cover_size
+from ghsegments.spaces import IntegerView, _min_cover_size, as_fraction
 from tests.conftest import oracle_cover, oracle_validate, rows
 
 
@@ -90,6 +90,9 @@ class TestValidateMetric:
     def test_string_fractions_accepted(self) -> None:
         rep = validate_metric([["0", "1/3"], ["1/3", "0"]])
         assert rep.ok
+        assert as_fraction(5) == 5 and as_fraction(" 2/4 ") == Fraction(1, 2)
+        with pytest.raises(MalformedInputError, match="not a rational distance"):
+            as_fraction(True)
 
 
 def den6_space() -> FiniteMetricSpace:
