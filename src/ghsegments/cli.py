@@ -125,14 +125,13 @@ def cmd_validate(args, cfg: RunConfig, report: Report) -> int:
     labels, view = load_candidate(args.space)
     report.inputs[str(args.space)] = digest_file(args.space)
     vr = validate_metric(view)
-    names = labels if labels is not None else [f"p{i}" for i in range(len(view))]
     report.results = {
         "ok": vr.ok,
         "n": len(view),
         "violations": [
             {
                 "axiom": v.axiom,
-                "witness": [names[i] for i in v.witness],
+                "witness": [labels[i] for i in v.witness],
                 "lhs": frac_str(v.lhs),
                 "rhs": frac_str(v.rhs),
             }
@@ -215,10 +214,10 @@ def cmd_segment_check(args, cfg: RunConfig, report: Report) -> int:
 
 
 def cmd_star(args, cfg: RunConfig, report: Report) -> int:
-    Z = _load(report, args.z)
-    z0 = Z.index_of(args.z0)
     if cfg.delta is None:
         raise MalformedInputError("star needs --delta (or a config value)")
+    Z = _load(report, args.z)
+    z0 = Z.index_of(args.z0)
     star = star_extension(Z, StarParams(z0, cfg.delta))
     report.results = {
         "z0": args.z0,
@@ -232,10 +231,12 @@ def cmd_star(args, cfg: RunConfig, report: Report) -> int:
 
 
 def cmd_graft(args, cfg: RunConfig, report: Report) -> int:
-    Z = _load(report, args.z)
-    z_star = Z.index_of(args.zstar) if args.zstar else _pick_z_star(Z)
     if cfg.mu is None:
         raise MalformedInputError("graft needs --mu (or a config value)")
+    if args.m < 1:  # simplex_graft's own check, made before the input is read
+        raise DomainError(f"simplex size must be >= 1, got {args.m}")
+    Z = _load(report, args.z)
+    z_star = Z.index_of(args.zstar) if args.zstar else _pick_z_star(Z)
     W = simplex_graft(Z, GraftParams(z_star, cfg.mu, args.m))
     results = {
         "z_star": Z.labels[z_star],
@@ -321,9 +322,10 @@ def cmd_report(args, cfg: RunConfig, report: Report) -> int:
 
 
 def cmd_hausdorff(args, cfg: RunConfig, report: Report) -> int:
+    a, b = _parse_labels(args.a), _parse_labels(args.b)
     X = _load(report, args.space)
-    A = PointSubset.from_labels(X, _parse_labels(args.a))
-    B = PointSubset.from_labels(X, _parse_labels(args.b))
+    A = PointSubset.from_labels(X, a)
+    B = PointSubset.from_labels(X, b)
     res = hausdorff_distance(X, A, B)
     report.results = {
         "value": frac_str(res.value),

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .correspondences import Correspondence
 from .exceptions import MalformedInputError
-from .spaces import FiniteMetricSpace, IntegerView
+from .spaces import FiniteMetricSpace, IntegerView, _checked_labels
 
 __all__ = [
     "frac_str",
@@ -67,7 +67,8 @@ def _candidate_from_jsonable(obj):
         raise MalformedInputError(
             f'"labels" has {len(labels)} entries for {len(dist)} matrix rows'
         )
-    return labels, IntegerView.parse(dist)
+    view = IntegerView.parse(dist)
+    return _checked_labels(labels, len(view)), view
 
 
 def space_from_jsonable(obj) -> FiniteMetricSpace:
@@ -93,7 +94,8 @@ def _candidate_from_csv(text: str):
             f"CSV needs a header row plus {len(labels)} matrix rows, got "
             f"{len(rows) - 1} rows"
         )
-    return labels, IntegerView.parse([c.strip() for c in row] for row in rows[1:])
+    view = IntegerView.parse([c.strip() for c in row] for row in rows[1:])
+    return _checked_labels(labels, len(view)), view
 
 
 def space_from_csv(text: str) -> FiniteMetricSpace:
@@ -104,8 +106,10 @@ def space_from_csv(text: str) -> FiniteMetricSpace:
 def load_candidate(path):
     """Parse a space file without checking the metric axioms.
 
-    Returns (labels_or_None, IntegerView): the entries are read and the
-    matrix is checked to be square and nonnegative, but not validated.
+    Returns (labels, IntegerView): the labels are checked as the space
+    constructor checks them (unique; p0, p1, ... when the file has none),
+    and the entries are read and the matrix is checked to be square and
+    nonnegative, but not validated.
     The validate command uses this so axiom violations become a report,
     not a crash.
     """

@@ -5,8 +5,11 @@
 One certified-exact search, branch and bound: it assigns each row (a
 point of the larger space, taken in decreasing eccentricity order) a
 non-empty subset of the other space, pruning any partial assignment
-whose distortion already ties the incumbent. The incumbent starts at the
-full product correspondence or at a caller-supplied one. All arithmetic
+whose distortion already ties the incumbent. The last row takes exactly
+the columns no earlier row covers, or, when all are covered, any single
+column. The incumbent starts at the full product correspondence or at a
+caller-supplied one. Both refusals, the side cap and the node budget,
+carry gh_lower_bound and the best upper bound known. All arithmetic
 is on the spaces' integer views over one common denominator, and every
 returned witness is re-checked by distortion, outside the search,
 before it leaves gh_exact.
@@ -55,10 +58,9 @@ def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> Fraction:
     return Fraction(max(gap, side_x, side_y), 2 * scale)
 
 
-def _refusal_bounds(X, Y):
-    lower = gh_lower_bound(X, Y)
-    upper = max(diameter(X), diameter(Y)) / 2  # the full product correspondence
-    return lower, upper
+def _refusal(X, Y, message: str, upper: Fraction, nodes: int = 0) -> ResourceLimitError:
+    """A stop of the search, carrying gh_lower_bound and the best upper bound."""
+    return ResourceLimitError(message, lower=gh_lower_bound(X, Y), upper=upper, nodes=nodes)
 
 
 def gh_exact(
@@ -83,15 +85,6 @@ def gh_exact(
             f"witness distortion does not certify d_GH = {result.distance}"
         )
     return result
-
-
-def _mask_cells(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 # ---------------------------------------------------------- branch and bound
@@ -133,13 +126,9 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
     # against one point the full product is the only correspondence, and
     # its first row already ties it, so that search is a single node
     if min(X.n, Y.n) > 1 and max(X.n, Y.n) > limits.bnb_max_side:
-        lower, upper = _refusal_bounds(X, Y)
-        raise ResourceLimitError(
-            f"side {max(X.n, Y.n)} above the branch-and-bound cap "
-            f"{limits.bnb_max_side}",
-            lower=lower,
-            upper=upper,
-        )
+        message = f"side {max(X.n, Y.n)} above the branch-and-bound cap {limits.bnb_max_side}"
+        # the full product correspondence gives the upper bound
+        raise _refusal(X, Y, message, max(diameter(X), diameter(Y)) / 2)
     # rows range over the larger space so each branching step stays narrow
     flip = Y.n > X.n
     A, B = (Y, X) if flip else (X, Y)
@@ -157,40 +146,26 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
     ecc = [max(row) for row in dA]
     cls = _swap_classes(dA)
     order = sorted(range(na), key=lambda r: (-ecc[r], cls[r], r))
-    # ordering constraint applies between consecutive same-class rows,
-    # except on the last row where the uncovered-set rule takes priority
-    constrained = [
-        0 < pos < na - 1 and cls[order[pos]] == cls[order[pos - 1]]
-        for pos in range(na)
-    ]
-
     budget = limits.node_budget
     nodes = 0
-
-    def out_of_budget():
-        raise ResourceLimitError(
-            f"node budget {budget} exhausted",
-            lower=gh_lower_bound(X, Y),
-            upper=Fraction(best_val, 2 * scale),
-            nodes=nodes,
-        )
 
     M0 = [[0] * nb for _ in range(na)]
     chosen_masks = [0] * na
     chosen_cols: list[list[int]] = [[] for _ in range(na)]
+    singles = [[b] for b in range(nb)]
 
     def advance(pos, covered, val, M):
         """Row at pos just got chosen_cols[pos]; push bounds and recurse."""
         nonlocal nodes, best_val, best_pairs
         if budget is not None and nodes >= budget:
-            out_of_budget()
+            raise _refusal(
+                X, Y, f"node budget {budget} exhausted", Fraction(best_val, 2 * scale), nodes
+            )
         nodes += 1
         if pos == na - 1:
-            if covered == full_cols and val < best_val:
-                best_val = val
-                best_pairs = frozenset(
-                    (order[p], b) for p in range(na) for b in chosen_cols[p]
-                )
+            # expand only completes a covering relation that beats the incumbent
+            best_val = val
+            best_pairs = frozenset((order[p], b) for p in range(na) for b in chosen_cols[p])
             return
         r = order[pos]
         cols = chosen_cols[pos]
@@ -234,38 +209,31 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
         expand(pos + 1, covered, val, M2)
 
     def expand(pos, covered, val, M):
-        nonlocal best_val, best_pairs
-        r = order[pos]
-        Mr = M[r]
+        Mr = M[order[pos]]
         if pos == na - 1:
+            # the last row takes exactly the uncovered columns, or else any one column
             left = full_cols & ~covered
-            if left:
-                cols = _mask_cells(left)
+            options = [[b for b in range(nb) if left >> b & 1]] if left else singles
+            for cols in options:
                 v = val
-                for i, b in enumerate(cols):
+                for b in cols:
                     if Mr[b] > v:
                         v = Mr[b]
-                    if v >= best_val:
-                        return
                     rb = dB[b]
-                    for b2 in cols[i + 1 :]:
+                    for b2 in cols:  # rb[b] == 0 never raises v
                         if rb[b2] > v:
                             v = rb[b2]
-                    if v >= best_val:
-                        return
-                chosen_cols[pos] = list(cols)
-                advance(pos, full_cols, v, M)
-            else:
-                for b in range(nb):
-                    v = val if val > Mr[b] else Mr[b]
-                    if v < best_val:
-                        chosen_cols[pos] = [b]
-                        advance(pos, covered, v, M)
+                if v < best_val:
+                    chosen_cols[pos] = cols
+                    advance(pos, full_cols, v, M)
             return
         feasible = [b for b in range(nb) if Mr[b] < best_val]
         feasible.sort(key=lambda b: Mr[b])
-        need_order = constrained[pos]
-        prev_mask = chosen_masks[pos - 1] if need_order else 0
+        # consecutive rows of one swap class take non-decreasing masks; the
+        # last row is exempt, since the uncovered-set rule fixes its choice
+        prev_mask = 0
+        if 0 < pos and cls[order[pos]] == cls[order[pos - 1]]:
+            prev_mask = chosen_masks[pos - 1]
 
         def grow(start, mask, v, members):
             for i in range(start, len(feasible)):
@@ -279,7 +247,7 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
                     continue
                 mask2 = mask | (1 << b)
                 members.append(b)
-                if not need_order or mask2 >= prev_mask:
+                if mask2 >= prev_mask:
                     chosen_masks[pos] = mask2
                     chosen_cols[pos] = members[:]
                     advance(pos, covered | mask2, v2, M)

@@ -350,6 +350,16 @@ class TestCliBasics:
         assert out == "" and "error:" in err
         with pytest.raises(MalformedInputError):
             load_space(bad)
+        # repeated labels, which every command refuses, validate included
+        dup_json = tmp_path / "dup.json"
+        dup_json.write_text('{"labels": ["a", "a"], "dist": [["0", "1"], ["1", "0"]]}')
+        dup_csv = tmp_path / "dup.csv"
+        dup_csv.write_text("a,a\n0,1\n1,0\n")
+        for path in (dup_json, dup_csv):
+            for argv in (["validate", str(path)], ["gh", str(path), str(path)]):
+                code, out, err = run(capsys, *argv)
+                assert code == 3 and out == "", argv
+                assert "labels must be unique" in err, argv
 
     def test_hausdorff_subcommand(self, capsys, spaces) -> None:
         code, out, _ = run(
@@ -779,6 +789,10 @@ class TestCliDeterminism:
             ["report", b, b, b, "--m-max", "0"],
             ["graft", b, "--m", "2", "--mu", "x"],
             ["star", b, "--z0", "p0", "--delta", "1/0"],
+            ["graft", b, "--m", "0", "--mu", "1/4"],
+            ["graft", b, "--m", "2"],
+            ["star", b, "--z0", "p0"],
+            ["hausdorff", b, "--a", ",", "--b", "p0"],
         ):
             code, out, err = run(capsys, *argv)
             assert code == 3 and out == "" and "error:" in err, argv

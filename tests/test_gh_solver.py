@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -21,6 +22,7 @@ from ghsegments.solver import _swap_classes
 from tests.conftest import (
     oracle_distortion,
     oracle_gh,
+    random_correspondence,
     random_space,
     rows,
     run_python,
@@ -144,8 +146,6 @@ class TestDispatchAndDeterminism:
 class TestSeeding:
     def test_initial_incumbent_does_not_change_answer(self) -> None:
         rng = random.Random(888)
-        from tests.conftest import random_correspondence
-
         for _ in range(25):
             X, Y = random_space(rng, rng.randint(2, 4)), random_space(rng, rng.randint(2, 4))
             want = gh_exact(X, Y).distance
@@ -181,6 +181,58 @@ class TestResourceLimits:
         # a one-point side has a single correspondence, so no cap applies
         point = simplex(1, Fraction(1))
         assert gh_exact(point, random_metric_space(15, seed=3)).distance == Fraction(7, 4)
+
+
+def pinned_corpus() -> list:
+    """Seeded (X, Y, initial) solves: simplex pairs, random pairs both ways, warm starts."""
+    cases = [(simplex(n, 1), simplex(n + 1, 1), None) for n in range(2, 10)]
+    rng = random.Random(2)
+    for _ in range(10):
+        X, Y = random_space(rng, rng.randint(2, 7)), random_space(rng, rng.randint(2, 7))
+        cases += [(X, Y, None), (Y, X, None)]
+    for _ in range(4):
+        X, Y = random_space(rng, rng.randint(2, 5)), random_space(rng, rng.randint(2, 5))
+        cases.append((X, Y, random_correspondence(rng, X.n, Y.n)))
+    return cases
+
+
+class TestPinnedSearch:
+    """Recorded outcomes of the search on a seeded corpus. Node counts do
+    not depend on the hardware, so any change to how the search branches
+    or prunes shows up here, and belongs in CHANGES.md."""
+
+    DISTANCES_AND_NODES = [
+        ("1/2", 3), ("1/2", 7), ("1/2", 15), ("1/2", 31), ("1/2", 63), ("1/2", 127),
+        ("1/2", 255), ("1/2", 511), ("1/6", 3), ("1/6", 3), ("29/24", 77), ("29/24", 77),
+        ("7/2", 20), ("7/2", 20), ("11/8", 217), ("11/8", 205), ("35/8", 53), ("35/8", 53),
+        ("11/12", 5309), ("11/12", 5309), ("7/6", 37), ("7/6", 795), ("13/6", 3),
+        ("13/6", 4), ("13/12", 181), ("13/12", 17), ("5/6", 57), ("5/6", 46), ("11/2", 5),
+        ("5/4", 19), ("11/12", 18), ("9/8", 6),
+    ]  # fmt: skip
+    WITNESS_DIGEST = "4b6ff640a89a0d93"  # sha256 of the repr of every sorted witness
+
+    def test_distances_nodes_and_witnesses(self) -> None:
+        results = [gh_exact(X, Y, initial=init) for X, Y, init in pinned_corpus()]
+        got = [(str(r.distance), r.nodes_explored) for r in results]
+        assert got == self.DISTANCES_AND_NODES
+        witnesses = [r.optimal.sorted_pairs() for r in results]
+        assert hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16] == self.WITNESS_DIGEST
+
+    @pytest.mark.parametrize(
+        "sides, seeds, limits, stop",
+        [
+            ((6, 6), (5, 6), SolverLimits(node_budget=40),
+             ("node budget 40 exhausted", 40, Fraction(17, 12), Fraction(61, 24))),
+            ((11, 3), (7, 8), SolverLimits(),
+             ("side 11 above the branch-and-bound cap 10", 0, Fraction(25, 12), Fraction(7, 2))),
+        ],
+    )  # fmt: skip
+    def test_stops(self, sides, seeds, limits, stop) -> None:
+        X, Y = (random_metric_space(n, seed=s) for n, s in zip(sides, seeds))
+        with pytest.raises(ResourceLimitError) as exc:
+            gh_exact(X, Y, limits=limits)
+        err = exc.value
+        assert (str(err), err.nodes, err.lower, err.upper) == stop
 
 
 def brute_classes(d) -> list[int]:
