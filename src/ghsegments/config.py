@@ -90,10 +90,7 @@ def _checked(key: str, value):
     if key == "node_budget":
         return None if value is None else _int_at_least(key, value, 0)
     if key == "ms":
-        ms = tuple(_int_at_least(key, v, 1) for v in _list(key, value))
-        if not ms:
-            raise MalformedInputError(f"{key} must be a non-empty list")
-        return ms
+        return tuple(_int_at_least(key, v, 1) for v in _list(key, value))
     if key == "sample_grid":
         grid = tuple(as_fraction(v) for v in _list(key, value))
         if not all(0 <= t <= 1 for t in grid):
@@ -120,4 +117,6 @@ def _int_at_least(key: str, value, least: int) -> int:
 def _list(key: str, value) -> list:
     if not isinstance(value, list):
         raise MalformedInputError(f"{key} must be a list, got {value!r}")
+    if not value:
+        raise MalformedInputError(f"{key} must be a non-empty list")
     return value

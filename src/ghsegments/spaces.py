@@ -24,9 +24,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from numbers import Rational
-from operator import add
+from operator import add, or_
 from typing import Iterable, Sequence
 
 from .exceptions import DomainError, MalformedInputError, MetricValidationError
@@ -361,51 +362,46 @@ def closed_ball(space: FiniteMetricSpace, center: int, r) -> PointSubset:
 
 
 def _min_cover_size(universe: int, sets: list[int]) -> int:
-    """Exact minimum number of the given bitmask sets whose union is universe."""
+    """Exact minimum number of the given bitmask sets whose union is universe.
+
+    Depth-first search on an explicit stack, with no budget yet. A node is
+    pruned once used plus a greedy packing of its uncovered points reaches
+    the best cover: no set holds two packed points, so each needs its own.
+    """
     # Drop dominated sets; a subset of another set never helps a minimum cover.
     keep: list[int] = []
     for s in sorted(set(sets), key=lambda m: -m.bit_count()):
         if not any(s & k == s for k in keep):
             keep.append(s)
-    cover_of: dict[int, list[int]] = {}
-    p = 0
-    u = universe
-    while u:
-        if u & 1:
-            cover_of[p] = [s for s in keep if s >> p & 1]
-        u >>= 1
-        p += 1
-    # A set that alone covers some point is in every cover: take those
-    # first, so the search below never recurses once per forced set.
-    forced = 0
-    left = universe
-    for p, cands in cover_of.items():
-        if len(cands) == 1 and left >> p & 1:
-            left &= ~cands[0]
-            forced += 1
-    # Greedy upper bound, then depth-first search on the least-covered point.
-    best = forced
-    rest = left
-    while rest:
-        pick = max(keep, key=lambda m: (m & rest).bit_count())
-        rest &= ~pick
-        best += 1
-
-    def search(left: int, used: int, best: int) -> int:
+    # Per point: its candidate sets, and apart, the points sharing none of
+    # them. A set that alone covers some point is in every cover: take it.
+    cover_of, apart = {}, {}
+    left, forced = universe, 0
+    for p in range(universe.bit_length()):
+        if universe >> p & 1:
+            cover_of[p] = cands = [s for s in keep if s >> p & 1]
+            apart[p] = ~reduce(or_, cands, 1 << p)
+            if len(cands) == 1 and left >> p & 1:
+                left, forced = left & ~cands[0], forced + 1
+    order = sorted((p for p in cover_of if left >> p & 1), key=lambda p: len(cover_of[p]))
+    best, floor = universe.bit_count() + 1, 0
+    stack = [(left, forced)]
+    while stack and best > floor:
+        left, used = stack.pop()
+        # Greedy packing; its first point, the least-covered one, is the branch.
+        bound, free, point = used, left, -1
+        for p in order:
+            if free >> p & 1:
+                point = p if point < 0 else point
+                bound += 1
+                free &= apart[p]
+        floor = floor or bound  # the root's bound holds for every cover
         if not left:
-            return used
-        if used + 1 >= best:
-            return best
-        # branch on the uncovered point with the fewest candidate sets
-        point = min(
-            (p for p in cover_of if left >> p & 1),
-            key=lambda p: len(cover_of[p]),
-        )
-        for s in cover_of[point]:
-            best = search(left & ~s, used + 1, best)
-        return best
-
-    return search(left, forced, best)
+            best = min(best, used)
+        elif bound < best:
+            cands = sorted(cover_of[point], key=lambda s: (s & left).bit_count())
+            stack.extend((left & ~s, used + 1) for s in cands)
+    return best
 
 
 def covering_number(space: FiniteMetricSpace, eps) -> int:
@@ -413,6 +409,10 @@ def covering_number(space: FiniteMetricSpace, eps) -> int:
 
     Open balls: {y : d(x, y) < eps}. Centers are the space's own points,
     so the count is intrinsic to the matrix. Requires eps > 0.
+
+    The count is exact: a depth-first search on an explicit stack, with no
+    budget yet, pruned by packings: points no ball holds two of (points
+    2*eps or more apart are one), so each needs a ball of its own.
     """
     epsilon = as_fraction(eps)
     if epsilon <= 0:

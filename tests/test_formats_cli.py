@@ -780,6 +780,7 @@ class TestCliDeterminism:
         for argv in (
             ["geodesic", b, b, "--ts", "3/2"],
             ["geodesic", b, b, "--ts", "0,x"],
+            ["geodesic", b, b, "--ts", ","],
             ["family", b, b, b, "--ms", "2,x"],
             ["family", b, b, b, "--ms", "0"],
             ["family", b, b, b, "--ms", ","],
@@ -821,6 +822,7 @@ class TestCliDeterminism:
             {"sample_grid": "1/2"},
             {"sample_grid": ["3/2"]},
             {"sample_grid": ["0", "-1/4"]},
+            {"sample_grid": []},
             {"out": 7},
         ):
             cfg.write_text(json.dumps(bad))

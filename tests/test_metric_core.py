@@ -307,6 +307,21 @@ class TestCoveringNumber:
         for X in [den6_space(), random_metric_space(6, 13), random_metric_space(5, 14)]:
             for eps in boundary_radii(X) + [Fraction(5, 7)]:
                 assert covering_number(X, eps) == oracle_cover(rows(X), eps)
+        # lines with gaps 1/2 and 1, whose balls are intervals of varying width
+        for _ in range(30):
+            coords = [Fraction(0)]
+            for _ in range(rng.randint(1, 7)):
+                coords.append(coords[-1] + Fraction(rng.randint(1, 2), 2))
+            X = line_space(*coords)
+            for eps in (Fraction(rng.randint(5, 8), 8), Fraction(rng.randint(9, 16), 8)):
+                assert covering_number(X, eps) == oracle_cover(rows(X), eps)
+        # grafts at eps = mu/4, the radius of the non-compactness report
+        for _ in range(20):
+            Z = random_metric_space(rng.randint(2, 4), seed=rng.randrange(10**9))
+            z_star = rng.randrange(Z.n)
+            mu = 2 * isolation_radius(Z, z_star) * Fraction(rng.randint(1, 8), 8)
+            W = simplex_graft(Z, GraftParams(z_star, mu, rng.randint(1, 9 - Z.n)))
+            assert covering_number(W, mu / 4) == oracle_cover(rows(W), mu / 4)
 
     def test_many_forced_sets_do_not_recurse(self) -> None:
         # the balls of a large simplex at eps below its side: each point's
@@ -317,6 +332,18 @@ class TestCoveringNumber:
         # as three pairs takes two of them
         sets = [0b011, 0b110, 0b101] + [1 << i for i in range(3, n)]
         assert _min_cover_size((1 << n) - 1, sets) == n - 1
+        # a line of pairs {i, i+1}: only the two end sets are forced, so the
+        # search goes 1198 sets deep
+        n = 2400
+        assert _min_cover_size((1 << n) - 1, [0b11 << i for i in range(n - 1)]) == 1200
+
+    @pytest.mark.parametrize("n, width", [(50, 2), (48, 3)])
+    def test_interval_lines_are_pruned_by_packing(self, n: int, width: int) -> None:
+        # the sets {i, i+1} or {i-1, i, i+1} of a line: a packing of points
+        # width apart meets the first dive's cover, ceil(n / width)
+        full = (1 << n) - 1
+        sets = [((1 << width) - 1) << i >> (width - 2) & full for i in range(n)]
+        assert _min_cover_size(full, sets) == -(-n // width)
 
     def test_nonpositive_eps_rejected(self) -> None:
         with pytest.raises(DomainError):
