@@ -2,17 +2,20 @@
 
     d_GH(X, Y) = (1/2) * min { dis R : R a correspondence X <-> Y }
 
-One certified-exact search, branch and bound: it assigns each row (a
-point of the larger space, taken in decreasing eccentricity order) a
-non-empty subset of the other space, pruning any partial assignment
-whose distortion already ties the incumbent. The last row takes exactly
-the columns no earlier row covers, or, when all are covered, any single
-column. The incumbent starts at the full product correspondence or at a
-caller-supplied one. Both refusals, the side cap and the node budget,
-carry gh_lower_bound and the best upper bound known. All arithmetic
-is on the spaces' integer views over one common denominator, and every
-returned witness is re-checked by distortion, outside the search,
-before it leaves gh_exact.
+gh_exact is the only step of a solve that sees spaces. It checks the
+seed's shape, applies the side cap, puts both spaces on integer rows
+over one common denominator, orients the solve so rows range over the
+larger side, runs the kernel, maps its pairs back, refuses a spent node
+budget and re-checks the witness by distortion. Both refusals carry
+gh_lower_bound and the best upper bound known.
+
+The kernel, _branch_and_bound, sees two lists of integer rows, a seed
+pair list and a node budget (None for none). It returns the best
+distortion, its pairs, the node count and whether the budget ran out.
+It assigns each row, in decreasing eccentricity order, a non-empty
+subset of the columns, pruning any partial assignment whose distortion
+already ties the incumbent; the last row takes exactly the columns no
+earlier row covers, or, when all are covered, any single column.
 """
 
 from __future__ import annotations
@@ -58,11 +61,6 @@ def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> Fraction:
     return Fraction(max(gap, side_x, side_y), 2 * scale)
 
 
-def _refusal(X, Y, message: str, upper: Fraction, nodes: int = 0) -> ResourceLimitError:
-    """A stop of the search, carrying gh_lower_bound and the best upper bound."""
-    return ResourceLimitError(message, lower=gh_lower_bound(X, Y), upper=upper, nodes=nodes)
-
-
 def gh_exact(
     X: FiniteMetricSpace,
     Y: FiniteMetricSpace,
@@ -78,13 +76,34 @@ def gh_exact(
     limits = limits or SolverLimits()
     if initial is not None and (initial.nx != X.n or initial.ny != Y.n):
         raise DomainError("initial correspondence has the wrong shape")
-    result = _solve_bnb(X, Y, limits, initial)
+    # against one point the full product is the only correspondence, and
+    # its first row already ties it, so that search is a single node
+    if min(X.n, Y.n) > 1 and max(X.n, Y.n) > limits.bnb_max_side:
+        message = f"side {max(X.n, Y.n)} above the branch-and-bound cap {limits.bnb_max_side}"
+        # the full product correspondence gives the upper bound
+        upper = max(diameter(X), diameter(Y)) / 2
+        raise ResourceLimitError(message, lower=gh_lower_bound(X, Y), upper=upper)
+    dx, dy, scale = common_rows(X, Y)
+    if initial is None:  # the full product correspondence
+        seed = [(a, b) for a in range(X.n) for b in range(Y.n)]
+    else:
+        seed = list(initial.pairs)
+    # rows range over the larger space so each branching step stays narrow
+    flip = Y.n > X.n
+    if flip:
+        dx, dy, seed = dy, dx, [(b, a) for a, b in seed]
+    val, pairs, nodes, spent = _branch_and_bound(dx, dy, seed, limits.node_budget)
+    if flip:
+        pairs = [(b, a) for a, b in pairs]
+    distance = Fraction(val, 2 * scale)
+    if spent:
+        message = f"node budget {limits.node_budget} exhausted"
+        raise ResourceLimitError(message, lower=gh_lower_bound(X, Y), upper=distance, nodes=nodes)
+    optimal = Correspondence(frozenset(pairs), X.n, Y.n)
     # the witness must certify the value exactly; a mismatch is a solver bug
-    if distortion(X, Y, result.optimal) != 2 * result.distance:
-        raise ToolkitError(
-            f"witness distortion does not certify d_GH = {result.distance}"
-        )
-    return result
+    if distortion(X, Y, optimal) != 2 * distance:
+        raise ToolkitError(f"witness distortion does not certify d_GH = {distance}")
+    return GhResult(distance, optimal, nodes)
 
 
 # ---------------------------------------------------------- branch and bound
@@ -122,59 +141,45 @@ def _swap_classes(d) -> list[int]:
     return cls
 
 
-def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> GhResult:
-    # against one point the full product is the only correspondence, and
-    # its first row already ties it, so that search is a single node
-    if min(X.n, Y.n) > 1 and max(X.n, Y.n) > limits.bnb_max_side:
-        message = f"side {max(X.n, Y.n)} above the branch-and-bound cap {limits.bnb_max_side}"
-        # the full product correspondence gives the upper bound
-        raise _refusal(X, Y, message, max(diameter(X), diameter(Y)) / 2)
-    # rows range over the larger space so each branching step stays narrow
-    flip = Y.n > X.n
-    A, B = (Y, X) if flip else (X, Y)
-    dA, dB, scale = common_rows(A, B)
-    na, nb = A.n, B.n
-    full_cols = (1 << nb) - 1
+class _BudgetSpent(Exception):
+    """Unwinds the kernel's recursion once the node budget runs out."""
 
-    if initial is not None:
-        inc_pairs = {(b, a) for a, b in initial.pairs} if flip else set(initial.pairs)
-    else:
-        inc_pairs = {(a, b) for a in range(na) for b in range(nb)}
-    best_pairs = frozenset(inc_pairs)
-    best_val = integer_distortion(dA, dB, sorted(best_pairs))
+
+def _branch_and_bound(dA, dB, seed, budget):
+    """(best value, its pairs, node count, budget spent) over integer rows."""
+    na, nb = len(dA), len(dB)
+    full_cols = (1 << nb) - 1
+    best_pairs = seed
+    best_val = integer_distortion(dA, dB, seed)
 
     ecc = [max(row) for row in dA]
     cls = _swap_classes(dA)
     order = sorted(range(na), key=lambda r: (-ecc[r], cls[r], r))
-    budget = limits.node_budget
+    # from here on a row is its position in the search order
+    dA = [[dA[r][s] for s in order] for r in order]
+    cls = [cls[r] for r in order]
     nodes = 0
-
-    M0 = [[0] * nb for _ in range(na)]
     chosen_masks = [0] * na
     chosen_cols: list[list[int]] = [[] for _ in range(na)]
     singles = [[b] for b in range(nb)]
 
     def advance(pos, covered, val, M):
-        """Row at pos just got chosen_cols[pos]; push bounds and recurse."""
+        """Row pos just got chosen_cols[pos]; push bounds and recurse."""
         nonlocal nodes, best_val, best_pairs
         if budget is not None and nodes >= budget:
-            raise _refusal(
-                X, Y, f"node budget {budget} exhausted", Fraction(best_val, 2 * scale), nodes
-            )
+            raise _BudgetSpent
         nodes += 1
         if pos == na - 1:
             # expand only completes a covering relation that beats the incumbent
             best_val = val
-            best_pairs = frozenset((order[p], b) for p in range(na) for b in chosen_cols[p])
+            best_pairs = [(order[p], b) for p in range(na) for b in chosen_cols[p]]
             return
-        r = order[pos]
         cols = chosen_cols[pos]
         # fold the new pairs into the mismatch table of the open rows
         M2 = [None] * na
         for q in range(pos + 1, na):
-            r2 = order[q]
-            old = M[r2]
-            daq = dA[r2][r]
+            old = M[q]
+            daq = dA[q][pos]
             new = old[:]
             for b2 in range(nb):
                 m = new[b2]
@@ -188,10 +193,10 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
                     if v > m:
                         m = v
                 new[b2] = m
-            M2[r2] = new
+            M2[q] = new
         bound = val
         for q in range(pos + 1, na):
-            m = min(M2[order[q]])
+            m = min(M2[q])
             if m > bound:
                 bound = m
         if bound >= best_val:
@@ -200,7 +205,7 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
         while lv:
             lb = lv & -lv
             bcol = lb.bit_length() - 1
-            m = min(M2[order[q]][bcol] for q in range(pos + 1, na))
+            m = min(M2[q][bcol] for q in range(pos + 1, na))
             if m > bound:
                 bound = m
                 if bound >= best_val:
@@ -209,7 +214,7 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
         expand(pos + 1, covered, val, M2)
 
     def expand(pos, covered, val, M):
-        Mr = M[order[pos]]
+        Mr = M[pos]
         if pos == na - 1:
             # the last row takes exactly the uncovered columns, or else any one column
             left = full_cols & ~covered
@@ -232,7 +237,7 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
         # consecutive rows of one swap class take non-decreasing masks; the
         # last row is exempt, since the uncovered-set rule fixes its choice
         prev_mask = 0
-        if 0 < pos and cls[order[pos]] == cls[order[pos - 1]]:
+        if 0 < pos and cls[pos] == cls[pos - 1]:
             prev_mask = chosen_masks[pos - 1]
 
         def grow(start, mask, v, members):
@@ -256,14 +261,8 @@ def _solve_bnb(X, Y, limits: SolverLimits, initial: Correspondence | None) -> Gh
 
         grow(0, 0, val, [])
 
-    expand(0, 0, 0, M0)
-
-    if flip:
-        out_pairs = frozenset((b, a) for a, b in best_pairs)
-    else:
-        out_pairs = best_pairs
-    return GhResult(
-        distance=Fraction(best_val, 2 * scale),
-        optimal=Correspondence(out_pairs, X.n, Y.n),
-        nodes_explored=nodes,
-    )
+    try:
+        expand(0, 0, 0, [[0] * nb for _ in range(na)])
+    except _BudgetSpent:
+        return best_val, best_pairs, nodes, True
+    return best_val, best_pairs, nodes, False

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -66,7 +67,9 @@ def _rational_parts(value) -> tuple[int, int]:
     An int (not a bool), a Fraction, and an ASCII 'p' or 'p/q' string
     with q != 0, surrounding whitespace stripped, are read directly;
     any other string goes through fractions.Fraction, which also reads
-    decimals such as '0.5'. Other rationals are accepted; bools, floats
+    decimals such as '0.5', unless its numerator or denominator would
+    have more digits than int() converts to a string (see
+    _within_digit_limit). Other rationals are accepted; bools, floats
     and everything else are refused.
     """
     t = type(value)
@@ -86,7 +89,7 @@ def _rational_parts(value) -> tuple[int, int]:
                 pass
     if isinstance(value, str):
         try:
-            f = Fraction(value.strip())
+            f = Fraction(_within_digit_limit(value.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInputError(f"cannot parse rational from {value!r}") from exc
     elif isinstance(value, Rational) and not isinstance(value, bool):
@@ -94,6 +97,27 @@ def _rational_parts(value) -> tuple[int, int]:
     else:
         raise MalformedInputError(f"not a rational distance: {value!r}")
     return f.numerator, f.denominator
+
+
+def _within_digit_limit(text: str) -> str:
+    """text, or ValueError if Fraction(text) would build a numerator or
+    denominator with more digits than sys.get_int_max_str_digits().
+
+    Judged from the digit counts and the exponent, before Fraction builds
+    a power of ten, so '1e10000000' is refused at once. A limit of 0, or
+    a Python without one, refuses nothing.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    mantissa, _, exp = text.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    try:
+        shift = int(exp) if exp else 0
+    except ValueError:  # no exponent that Fraction reads either
+        return text
+    digits = len((whole + frac).lstrip("+-").replace("_", ""))
+    if limit and max(digits + shift, len(frac) + 1 - shift) > limit:
+        raise ValueError(f"more than {limit} digits")
+    return text
 
 
 @dataclass(frozen=True)
@@ -368,21 +392,23 @@ def _min_cover_size(universe: int, sets: list[int]) -> int:
     pruned once used plus a greedy packing of its uncovered points reaches
     the best cover: no set holds two packed points, so each needs its own.
     """
-    # Drop dominated sets; a subset of another set never helps a minimum cover.
-    keep: list[int] = []
+    # Per point: its candidate sets, largest first. A subset of another set
+    # never helps a minimum cover, and every superset of s holds s's lowest
+    # point, so s is tested only against the sets kept through that point.
+    cover_of = {p: [] for p in range(universe.bit_length()) if universe >> p & 1}
     for s in sorted(set(sets), key=lambda m: -m.bit_count()):
-        if not any(s & k == s for k in keep):
-            keep.append(s)
-    # Per point: its candidate sets, and apart, the points sharing none of
-    # them. A set that alone covers some point is in every cover: take it.
-    cover_of, apart = {}, {}
-    left, forced = universe, 0
-    for p in range(universe.bit_length()):
-        if universe >> p & 1:
-            cover_of[p] = cands = [s for s in keep if s >> p & 1]
-            apart[p] = ~reduce(or_, cands, 1 << p)
-            if len(cands) == 1 and left >> p & 1:
-                left, forced = left & ~cands[0], forced + 1
+        if s and not any(s & k == s for k in cover_of[(s & -s).bit_length() - 1]):
+            rest = s
+            while rest:
+                cover_of[(rest & -rest).bit_length() - 1].append(s)
+                rest &= rest - 1
+    # apart[p]: the points sharing no set with p. A set that alone covers
+    # some point is in every cover: take it.
+    apart, left, forced = {}, universe, 0
+    for p, cands in cover_of.items():
+        apart[p] = ~reduce(or_, cands, 1 << p)
+        if len(cands) == 1 and left >> p & 1:
+            left, forced = left & ~cands[0], forced + 1
     order = sorted((p for p in cover_of if left >> p & 1), key=lambda p: len(cover_of[p]))
     best, floor = universe.bit_count() + 1, 0
     stack = [(left, forced)]

@@ -405,16 +405,19 @@ class TestCliBasics:
             ("dist.json", b'{"dist": "x"}'),
             ("labels.json", b'{"dist": [["0"]], "labels": [1]}'),
             ("blank.csv", b"\n"),
+            ("exp.json", b'{"dist": [[0, "1e5000"], ["1e5000", 0]]}'),
+            ("negexp.json", b'{"dist": [[0, "1e-5000"], ["1e-5000", 0]]}'),
         ],
         ids=[
             "not-utf8-json", "not-utf8-csv", "long-int-json",
             "json-array", "dist-not-rows", "labels-not-strings", "blank-csv",
+            "exponent-past-digit-limit", "negative-exponent-past-digit-limit",
         ],  # fmt: skip
     )
     def test_unreadable_file_is_exit_3(self, capsys, spaces, tmp_path: Path, name, data) -> None:
         # bytes that are not UTF-8, a JSON int longer than int() converts,
-        # and documents of the wrong shape, as a space file and as a config
-        # file
+        # an exponent that would make one, and documents of the wrong
+        # shape, as a space file and as a config file
         path = tmp_path / name
         path.write_bytes(data)
         x = str(spaces["x"])
@@ -794,9 +797,22 @@ class TestCliDeterminism:
             ["graft", b, "--m", "2"],
             ["star", b, "--z0", "p0"],
             ["hausdorff", b, "--a", ",", "--b", "p0"],
+            # values whose numerator or denominator int() could not print
+            ["graft", b, "--m", "2", "--mu", "1e5000"],
+            ["family", b, b, b, "--mu", "1e-5000"],
+            ["star", b, "--z0", "p0", "--delta", "1e5000"],
+            ["star", b, "--z0", "p0", "--delta", "1e-5000"],
         ):
             code, out, err = run(capsys, *argv)
             assert code == 3 and out == "" and "error:" in err, argv
+        cfg = tmp_path / "cfg.json"
+        for setting, argv in (
+            ({"mu": "1e5000"}, ["graft", b, "--m", "2"]),
+            ({"delta": "1e-5000"}, ["star", b, "--z0", "p0"]),
+        ):
+            cfg.write_text(json.dumps(setting))
+            code, out, err = run(capsys, *argv, "--config", str(cfg))
+            assert code == 3 and out == "" and "cannot parse rational" in err, setting
         assert run(capsys, "report", b, b, b)[0] == 4
         assert run(capsys, "report", b, b, b, "--m-max", "x")[0] == 2
 

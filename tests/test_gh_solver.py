@@ -295,3 +295,58 @@ class TestNumericRanges:
         Y = simplex(2, Fraction(10**6))
         res = gh_exact(X, Y)
         assert res.distance == oracle_gh(rows(X), rows(Y))
+
+
+def relabel(X: FiniteMetricSpace, perm: list[int]) -> FiniteMetricSpace:
+    """X with its points renumbered: point i of the result is point perm[i] of X."""
+    d = X.dist
+    return FiniteMetricSpace.from_matrix([[d[a][b] for b in perm] for a in perm])
+
+
+def scaled(X: FiniteMetricSpace, k: Fraction) -> FiniteMetricSpace:
+    return FiniteMetricSpace.from_matrix([[k * v for v in row] for row in X.dist])
+
+
+class TestMetamorphicRelations:
+    """Relations d_GH obeys as a metric on isometry classes, checked with
+    no oracle at sides 5-8, where the search branches deeply and the
+    enumerating oracles cannot reach. Each guards one step of gh_exact:
+    the argument swap its orientation, relabelling the row renumbering,
+    scaling the common denominator, warm starts the seed's orientation,
+    and the bounds its refusals. A pair on which any solve hits the
+    budget is counted and skipped."""
+
+    LIMITS = SolverLimits(node_budget=100_000)
+
+    def test_relations_on_seeded_pairs(self) -> None:
+        rng = random.Random(2210)
+        checked = skipped = 0
+        for i in range(20):
+            X, Y = random_space(rng, rng.randint(5, 8)), random_space(rng, rng.randint(5, 8))
+            p, q = rng.sample(range(X.n), X.n), rng.sample(range(Y.n), Y.n)
+            Xp, Yq = relabel(X, p), relabel(Y, q)
+            try:
+                res = gh_exact(X, Y, limits=self.LIMITS)
+                d = res.distance
+                assert gh_exact(Y, X, limits=self.LIMITS).distance == d
+                assert gh_exact(Xp, Yq, limits=self.LIMITS).distance == d
+                assert gh_exact(X, Xp, limits=self.LIMITS).distance == 0
+                k = (Fraction(3), Fraction(2, 5))[i % 2]  # an integer and a rational scale
+                assert gh_exact(scaled(X, k), scaled(Y, k), limits=self.LIMITS).distance == k * d
+                seed = random_correspondence(rng, X.n, Y.n)
+                assert gh_exact(X, Y, limits=self.LIMITS, initial=seed).distance == d
+                # res.optimal carried over to the relabelled points of Xp and Yq
+                back_p, back_q = {a: j for j, a in enumerate(p)}, {b: j for j, b in enumerate(q)}
+                moved = frozenset((back_p[a], back_q[b]) for a, b in res.optimal.pairs)
+                warm = Correspondence(moved, X.n, Y.n)
+                assert gh_exact(Xp, Yq, limits=self.LIMITS, initial=warm).distance == d
+            except ResourceLimitError:
+                skipped += 1
+                continue
+            assert gh_lower_bound(X, Y) <= d <= distortion(X, Y, seed) / 2
+            try:
+                assert gh_exact(X, Y, limits=SolverLimits(node_budget=50)).distance == d
+            except ResourceLimitError as err:
+                assert err.nodes == 50 and err.lower <= d <= err.upper
+            checked += 1
+        assert checked >= 16 and checked + skipped == 20

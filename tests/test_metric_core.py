@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,23 @@ class TestValidateMetric:
         assert as_fraction(5) == 5 and as_fraction(" 2/4 ") == Fraction(1, 2)
         with pytest.raises(MalformedInputError, match="not a rational distance"):
             as_fraction(True)
+
+    def test_exponent_past_the_digit_limit_is_refused(self) -> None:
+        # refused before Fraction builds the power of ten; under the limit,
+        # or with the limit off, exponents and decimals read as before
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int digit limit")
+        assert as_fraction("1e3") == 1000 and as_fraction("0.5") == Fraction(1, 2)
+        assert as_fraction("1e-4299") == Fraction(1, 10**4299)
+        for text in ("1e5000", "1e-5000", "1e4300", "1e10000000", " 2.5E-9999 "):
+            with pytest.raises(MalformedInputError, match="cannot parse rational from"):
+                as_fraction(text)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert as_fraction("1e5000") == 10**5000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def den6_space() -> FiniteMetricSpace:
