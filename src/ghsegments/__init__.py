@@ -9,7 +9,6 @@ need not be compact.
 
 from .correspondences import (
     Correspondence,
-    Relation,
     distortion,
     full_product,
     identity_correspondence,
@@ -80,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Correspondence",
-    "Relation",
     "distortion",
     "full_product",
     "identity_correspondence",

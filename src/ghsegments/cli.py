@@ -470,10 +470,11 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.lower is not None and exc.upper is not None:
-            print(
-                f"  best bounds so far: {exc.lower} <= d_GH <= {exc.upper}",
-                file=sys.stderr,
-            )
+            try:
+                bounds = f"{frac_str(exc.lower)} <= d_GH <= {frac_str(exc.upper)}"
+            except DomainError as err:
+                bounds = f"not printed: {err}"
+            print(f"  best bounds so far: {bounds}", file=sys.stderr)
         return EXIT_RESOURCE
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)

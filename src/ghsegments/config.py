@@ -10,12 +10,12 @@ a flag overrides the file, which overrides the defaults.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .exceptions import MalformedInputError
+from .formats import _read_json
 from .geodesics import DEFAULT_GRID
 from .solver import SolverLimits
 from .spaces import as_fraction
@@ -38,13 +38,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        p = Path(path)
-        try:
-            obj = json.loads(p.read_text())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise MalformedInputError(f"cannot read config {p}: {exc}") from exc
-        except ValueError as exc:  # a JSONDecodeError, or an int too long for int()
-            raise MalformedInputError(f"config {p} is not valid JSON: {exc}") from exc
+        obj = _read_json(Path(path), "config ")
         if not isinstance(obj, dict):
             raise MalformedInputError("config must be a JSON object")
         unknown = set(obj) - set(KEYS)

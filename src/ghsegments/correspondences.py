@@ -1,15 +1,18 @@
-"""Relations and correspondences between two finite index sets.
+"""Correspondences between two finite index sets.
 
-A relation is a non-empty set of index pairs (i, j) with i in X and j
-in Y. A correspondence is a relation whose two projections are onto:
-every point of X and every point of Y appears in some pair. The
-distortion of a relation sigma measures how far sigma is from an
-isometry:
+A correspondence between {0..nx-1} and {0..ny-1} is a non-empty set of
+index pairs (i, j) whose two projections are onto: every point of each
+side appears in some pair. The distortion of a correspondence sigma
+between spaces X and Y measures how far sigma is from an isometry:
 
     dis sigma = max |d_X(x, x') - d_Y(y, y')|
 
 over all (x, y), (x', y') in sigma. Half the minimal distortion over
-correspondences is the Gromov-Hausdorff distance (see solver).
+correspondences is the Gromov-Hausdorff distance (see solver), and half
+the distortion of any one bounds it from above. Both facts need sigma
+to be onto exactly X's and Y's points, so every function of the package
+that takes sigma together with two spaces first checks, in
+_check_shape, that sigma's nx and ny are the spaces' sizes.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .exceptions import DomainError
 from .spaces import FiniteMetricSpace, common_rows
 
 __all__ = [
-    "Relation",
     "Correspondence",
     "is_correspondence",
     "distortion",
@@ -34,40 +36,6 @@ __all__ = [
     "identity_correspondence",
     "transpose",
 ]
-
-def _norm_pairs(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    out = frozenset((int(a), int(b)) for a, b in pairs)
-    if not out:
-        raise DomainError("relation must be non-empty")
-    if not all(a >= 0 and b >= 0 for a, b in out):
-        raise DomainError("negative index in relation")
-    return out
-
-
-@dataclass(frozen=True)
-class Relation:
-    """Non-empty set of (x, y) index pairs."""
-
-    pairs: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", _norm_pairs(self.pairs))
-
-    @classmethod
-    def of(cls, *pairs: tuple[int, int]) -> "Relation":
-        return cls(frozenset(pairs))
-
-    def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.pairs))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
 
 
 def is_correspondence(pairs: Iterable[tuple[int, int]], nx: int, ny: int) -> bool:
@@ -84,15 +52,18 @@ def is_correspondence(pairs: Iterable[tuple[int, int]], nx: int, ny: int) -> boo
 
 
 @dataclass(frozen=True)
-class Correspondence(Relation):
-    """A relation with onto projections; nx and ny pin the two index ranges."""
+class Correspondence:
+    """A non-empty set of (x, y) index pairs with onto projections;
+    nx and ny pin the two index ranges."""
 
+    pairs: frozenset
     nx: int
     ny: int
 
     def __post_init__(self):
-        super().__post_init__()
-        if not is_correspondence(self.pairs, self.nx, self.ny):
+        pairs = frozenset((int(a), int(b)) for a, b in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        if not is_correspondence(pairs, self.nx, self.ny):
             raise DomainError(
                 f"projections are not onto ({self.nx} x {self.ny} expected)"
             )
@@ -101,13 +72,38 @@ class Correspondence(Relation):
     def of(cls, nx: int, ny: int, *pairs: tuple[int, int]) -> "Correspondence":
         return cls(frozenset(pairs), nx, ny)
 
+    def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self.pairs))
 
-def preimage(sigma: Relation, y: int) -> frozenset[int]:
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self.pairs)
+
+    def __contains__(self, pair) -> bool:
+        return pair in self.pairs
+
+
+def _check_shape(sigma: Correspondence, X: FiniteMetricSpace, Y: FiniteMetricSpace) -> None:
+    """Refuse sigma unless it corresponds exactly X's and Y's points.
+
+    sigma is onto its own nx and ny by construction, so comparing those
+    with the spaces' sizes is the whole check.
+    """
+    if sigma.nx != X.n or sigma.ny != Y.n:
+        raise DomainError(
+            "correspondence shape does not match the spaces: "
+            f"{sigma.nx} x {sigma.ny} against {X.n} x {Y.n}"
+        )
+
+
+def preimage(sigma: Correspondence, y: int) -> frozenset[int]:
     """All x with (x, y) in sigma."""
     return frozenset(a for a, b in sigma.pairs if b == y)
 
 
-def image(sigma: Relation, x: int) -> frozenset[int]:
+def image(sigma: Correspondence, x: int) -> frozenset[int]:
     """All y with (x, y) in sigma."""
     return frozenset(b for a, b in sigma.pairs if a == x)
 
@@ -154,21 +150,16 @@ def minimize_correspondence(sigma: Correspondence) -> Correspondence:
     return Correspondence(frozenset(pairs), sigma.nx, sigma.ny)
 
 
-def distortion(X: FiniteMetricSpace, Y: FiniteMetricSpace, sigma: Relation) -> Fraction:
-    """Exact distortion of sigma as a relation between X and Y.
+def distortion(X: FiniteMetricSpace, Y: FiniteMetricSpace, sigma: Correspondence) -> Fraction:
+    """Exact distortion of sigma as a correspondence between X and Y.
 
-    Indices in sigma must address points of X on the left and Y on the
-    right; the maximum runs over all (unordered) pairs of sigma's pairs,
-    a pair with itself contributing 0.
+    sigma's nx and ny must be X.n and Y.n, else DomainError; the maximum
+    runs over all (unordered) pairs of sigma's pairs, a pair with itself
+    contributing 0.
     """
-    pairs = sigma.sorted_pairs()
-    for a, b in pairs:
-        if a >= X.n or b >= Y.n:
-            raise DomainError(
-                f"pair ({a}, {b}) out of range for {X.n} x {Y.n} spaces"
-            )
+    _check_shape(sigma, X, Y)
     dx, dy, scale = common_rows(X, Y)
-    return Fraction(integer_distortion(dx, dy, pairs), scale)
+    return Fraction(integer_distortion(dx, dy, sigma.sorted_pairs()), scale)
 
 
 def integer_distortion(dx, dy, pairs) -> int:

@@ -16,12 +16,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
-from .correspondences import Correspondence
-from .exceptions import MalformedInputError
+from .correspondences import Correspondence, _check_shape
+from .exceptions import DomainError, MalformedInputError
 from .spaces import FiniteMetricSpace, IntegerView, _checked_labels
 
 __all__ = [
@@ -38,13 +39,21 @@ __all__ = [
 
 
 def frac_str(q: Fraction) -> str:
-    return str(Fraction(q))
+    """q as "p/q" text; DomainError when p or q has more digits than int()
+    converts to a string, even if every input was within that limit."""
+    try:
+        return str(Fraction(q))
+    except ValueError as exc:
+        raise DomainError(
+            "a result has a numerator or denominator past the limit of "
+            f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
+        ) from exc
 
 
 def _entry_strings(space: FiniteMetricSpace) -> list[list[str]]:
     """The matrix as reduced rational strings, one str per distinct value."""
     rows, den = space.view.rows, space.view.den
-    text = {v: str(Fraction(v, den)) for v in set(chain.from_iterable(rows))}
+    text = {v: frac_str(Fraction(v, den)) for v in set(chain.from_iterable(rows))}
     return [[text[v] for v in row] for row in rows]
 
 
@@ -114,18 +123,26 @@ def load_candidate(path):
     not a crash.
     """
     p = Path(path)
-    suffix = _known_suffix(p)
+    if _known_suffix(p) == ".csv":
+        return _candidate_from_csv(_read_text(p))
+    return _candidate_from_jsonable(_read_json(p))
+
+
+def _read_text(p: Path, what: str = "") -> str:
     try:
-        text = p.read_text()
+        return p.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedInputError(f"cannot read {p}: {exc}") from exc
-    if suffix == ".csv":
-        return _candidate_from_csv(text)
+        raise MalformedInputError(f"cannot read {what}{p}: {exc}") from exc
+
+
+def _read_json(p: Path, what: str = ""):
+    """The JSON document in file p, for space and config files alike;
+    what ("config " or "") names the kind of file in messages."""
+    text = _read_text(p, what)
     try:
-        obj = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int too long for int()
-        raise MalformedInputError(f"{p} is not valid JSON: {exc}") from exc
-    return _candidate_from_jsonable(obj)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, a too long int, deep nesting
+        raise MalformedInputError(f"{what}{p} is not valid JSON: {exc}") from exc
 
 
 def _known_suffix(p: Path) -> str:
@@ -153,6 +170,5 @@ def save_space(space: FiniteMetricSpace, path) -> None:
 def correspondence_to_jsonable(
     R: Correspondence, X: FiniteMetricSpace, Y: FiniteMetricSpace
 ) -> list[list[str]]:
-    if R.nx != X.n or R.ny != Y.n:
-        raise MalformedInputError("correspondence shape does not match the spaces")
+    _check_shape(R, X, Y)
     return [[X.labels[a], Y.labels[b]] for a, b in R.sorted_pairs()]

@@ -1,15 +1,15 @@
 """Interpolated metrics and geodesics between finite metric spaces.
 
-For a non-empty relation sigma between X and Y, the interpolated metric
-on sigma's pairs is
+For a correspondence R between X and Y, the interpolated metric on R's
+pairs is
 
     |(x, y)(x', y')|_t = (1 - t) d_X(x, x') + t d_Y(y, y')
 
 which is a genuine metric for 0 < t < 1 because X and Y are genuine
 metrics (distinct pairs keep positive distance, so no quotient is
-needed in the interior). When sigma is a correspondence R, the curve
-t -> R_t with R_0 = X and R_1 = Y realizes a geodesic: for an optimal R,
-d_GH(R_s, R_t) = |s - t| * d_GH(X, Y).
+needed in the interior). The curve t -> R_t with R_0 = X and R_1 = Y
+realizes a geodesic: for an optimal R, d_GH(R_s, R_t) = |s - t| *
+d_GH(X, Y).
 
 Only the constructions live here: R_t, and the projections endpoint_lifts
 witnessing d(X, R_t) and d(R_t, Y); segments.geodesic_samples certifies.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .correspondences import Correspondence, Relation, is_correspondence
+from .correspondences import Correspondence, _check_shape
 from .exceptions import DomainError
 from .spaces import FiniteMetricSpace, IntegerView, as_fraction, common_rows
 
@@ -66,28 +66,21 @@ def _unique_labels(raw: list[str]) -> list[str]:
 def interpolate(
     X: FiniteMetricSpace,
     Y: FiniteMetricSpace,
-    sigma: Relation,
+    sigma: Correspondence,
     t,
 ) -> InterpolatedSpace:
     """The space sigma_t for t in [0, 1].
 
-    Interior t builds the interpolated metric on sigma's pairs. The
-    endpoints return X and Y themselves, which additionally requires
-    sigma to be a correspondence (otherwise the curve would not join X
-    to Y).
+    sigma's nx and ny must be X.n and Y.n, else DomainError. Interior t
+    builds the interpolated metric on sigma's pairs; the endpoints
+    return X and Y themselves.
     """
     tt = as_fraction(t)
     if tt < 0 or tt > 1:
         raise DomainError(f"interpolation parameter must be in [0, 1], got {tt}")
+    _check_shape(sigma, X, Y)
     pairs = sigma.sorted_pairs()
-    for a, b in pairs:
-        if a >= X.n or b >= Y.n:
-            raise DomainError(f"pair ({a}, {b}) out of range for {X.n} x {Y.n}")
     if tt == 0 or tt == 1:
-        if not is_correspondence(pairs, X.n, Y.n):
-            raise DomainError(
-                "endpoint samples need a correspondence, not a bare relation"
-            )
         return InterpolatedSpace(pairs, tt, X if tt == 0 else Y)
     # with t = p/q and both views over den, the entry is
     # ((q - p) dx + p dy) / (q den)

@@ -50,6 +50,7 @@ from typing import Sequence
 
 from .correspondences import (
     Correspondence,
+    _check_shape,
     distortion,
     identity_correspondence,
     preimage,
@@ -180,9 +181,12 @@ def certify_by_lifts(
     (certified by the caller) is at most d_XW + d_WY. When the two
     halved distortions sum to d_XY, every inequality is tight, so both
     bounds are the exact distances and the correspondences witness them.
-    The callers' lifts always tie, so a miss is a bug and raises
-    ToolkitError (an if, not an assert, so it survives python -O).
+    Each witness must be shaped for its two spaces, witness_xy included,
+    else DomainError. The callers' lifts always tie, so a miss is a bug
+    and raises ToolkitError (an if, not an assert, so it survives
+    python -O).
     """
+    _check_shape(witness_xy, X, Y)
     d_xw = distortion(X, W, witness_xw) / 2
     d_wy = distortion(W, Y, witness_wy) / 2
     if d_xw + d_wy != d_xy:
@@ -215,8 +219,6 @@ def geodesic_samples(
     certify_by_lifts ties R_0 = X by (identity, R), R_1 = Y by
     (R, identity) and an interior R_t by endpoint_lifts(R).
     """
-    if R.nx != X.n or R.ny != Y.n:
-        raise DomainError("correspondence shape does not match the spaces")
     dis = distortion(X, Y, R)
     if dis != 2 * d_xy:
         raise DomainError(

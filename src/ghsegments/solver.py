@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .correspondences import Correspondence, distortion, integer_distortion
-from .exceptions import DomainError, ResourceLimitError, ToolkitError
+from .correspondences import Correspondence, _check_shape, distortion, integer_distortion
+from .exceptions import ResourceLimitError, ToolkitError
 from .spaces import FiniteMetricSpace, common_rows, diameter
 
 __all__ = ["SolverLimits", "GhResult", "gh_exact", "gh_lower_bound"]
@@ -74,8 +74,8 @@ def gh_exact(
     needed to certify it.
     """
     limits = limits or SolverLimits()
-    if initial is not None and (initial.nx != X.n or initial.ny != Y.n):
-        raise DomainError("initial correspondence has the wrong shape")
+    if initial is not None:
+        _check_shape(initial, X, Y)
     # against one point the full product is the only correspondence, and
     # its first row already ties it, so that search is a single node
     if min(X.n, Y.n) > 1 and max(X.n, Y.n) > limits.bnb_max_side:

@@ -8,11 +8,14 @@ import pytest
 from ghsegments import (
     Correspondence,
     DomainError,
-    Relation,
+    certify_by_lifts,
     distortion,
     full_product,
+    geodesic_samples,
+    gh_exact,
     identity_correspondence,
     image,
+    interpolate,
     is_correspondence,
     minimize_correspondence,
     preimage,
@@ -20,11 +23,13 @@ from ghsegments import (
     simplex,
     transpose,
 )
+from ghsegments.formats import correspondence_to_jsonable
 from tests.conftest import (
     oracle_distortion,
     random_correspondence,
     random_space,
     rows,
+    run_python,
 )
 
 
@@ -67,7 +72,68 @@ class TestDistortion:
     def test_out_of_range_pair_rejected(self) -> None:
         X = simplex(2, Fraction(1))
         with pytest.raises(DomainError):
-            distortion(X, X, Relation.of((0, 5)))
+            # onto its own 1 x 6 shape, so only the shape check refuses it
+            distortion(X, X, Correspondence.of(1, 6, *((0, j) for j in range(6))))
+
+
+class TestShapeCheck:
+    """Every route that takes a witness with its two spaces refuses one
+    whose nx or ny is not the spaces' size, even when all of its pairs
+    address points of both spaces."""
+
+    X = random_metric_space(3, seed=41)
+    Y = random_metric_space(3, seed=42)
+    ROUTES = {
+        "distortion": distortion,
+        "interpolate": lambda X, Y, R: interpolate(X, Y, R, Fraction(1, 3)),
+        "interpolate-endpoint": lambda X, Y, R: interpolate(X, Y, R, 1),
+        "gh_exact-initial": lambda X, Y, R: gh_exact(X, Y, initial=R),
+        "geodesic_samples": lambda X, Y, R: geodesic_samples(
+            X, Y, R, gh_exact(X, Y).distance
+        ),
+        "certify_by_lifts-xy": lambda X, Y, R: certify_by_lifts(
+            X, Y, X, identity_correspondence(3), gh_exact(X, Y).optimal,
+            gh_exact(X, Y).distance, R,
+        ),
+        "correspondence_to_jsonable": lambda X, Y, R: correspondence_to_jsonable(R, X, Y),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize(
+        "R",
+        [
+            Correspondence.of(2, 3, (0, 0), (1, 1), (1, 2)),
+            Correspondence.of(3, 2, (0, 0), (1, 1), (2, 1)),
+        ],
+        ids=["nx-short", "ny-short"],
+    )
+    def test_in_range_witness_of_wrong_shape_refused(self, route, R) -> None:
+        with pytest.raises(DomainError, match="shape does not match"):
+            self.ROUTES[route](self.X, self.Y, R)
+
+    def test_lifts_do_not_certify_a_nonmember(self) -> None:
+        # the 2 x 2 witnesses name only two of W's three points, so their
+        # halved distortion 1/2 is no bound on d_XW = 1; under -O as well
+        script = """
+import sys
+from fractions import Fraction
+from ghsegments import Correspondence, DomainError, certify_by_lifts, gh_exact, simplex
+
+assert False, "asserts are live"
+X, Y, W = simplex(2, Fraction(1)), simplex(2, Fraction(3)), simplex(3, Fraction(2))
+two = Correspondence.of(2, 2, (0, 0), (1, 1))
+xy = gh_exact(X, Y)
+try:
+    certify_by_lifts(X, Y, W, two, two, xy.distance, xy.optimal)
+except DomainError as exc:
+    print(type(exc).__name__, exc)
+    sys.exit(0)
+print("accepted")
+sys.exit(1)
+"""
+        proc = run_python("-O", "-c", script)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("DomainError correspondence shape does not match")
 
 
 class TestRelationAlgebra:
@@ -108,7 +174,7 @@ class TestRelationAlgebra:
 
     def test_empty_relation_rejected(self) -> None:
         with pytest.raises(DomainError):
-            Relation(frozenset())
+            Correspondence(frozenset(), 0, 0)
 
 
 class TestMinimize:

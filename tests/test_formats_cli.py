@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -407,17 +408,20 @@ class TestCliBasics:
             ("blank.csv", b"\n"),
             ("exp.json", b'{"dist": [[0, "1e5000"], ["1e5000", 0]]}'),
             ("negexp.json", b'{"dist": [[0, "1e-5000"], ["1e-5000", 0]]}'),
+            ("nested.json", b"[" * 100000 + b"]" * 100000),
         ],
         ids=[
             "not-utf8-json", "not-utf8-csv", "long-int-json",
             "json-array", "dist-not-rows", "labels-not-strings", "blank-csv",
             "exponent-past-digit-limit", "negative-exponent-past-digit-limit",
+            "nested-past-recursion-limit",
         ],  # fmt: skip
     )
     def test_unreadable_file_is_exit_3(self, capsys, spaces, tmp_path: Path, name, data) -> None:
         # bytes that are not UTF-8, a JSON int longer than int() converts,
-        # an exponent that would make one, and documents of the wrong
-        # shape, as a space file and as a config file
+        # an exponent that would make one, nesting deeper than the parser
+        # recurses, and documents of the wrong shape, as a space file and
+        # as a config file
         path = tmp_path / name
         path.write_bytes(data)
         x = str(spaces["x"])
@@ -435,6 +439,30 @@ class TestCliBasics:
         )
         assert code == 5
         assert "best bounds so far" in err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["gh", "p", "q"], 3),
+            (["geodesic", "p", "q"], 3),
+            (["segment-check", "p", "q", "p"], 3),
+            (["gh", "p", "q", "--limit-nodes", "0"], 5),
+        ],
+        ids=["gh", "geodesic", "segment-check", "gh-node-budget"],
+    )
+    def test_result_past_digit_limit(self, capsys, tmp_path: Path, argv, code) -> None:
+        # each input prints within the int digit limit, but a distance
+        # between them has a denominator near 3^6000 * 2^9000, which does not
+        for name, den in (("p", 3**6000), ("q", 2**9000)):
+            entry = f"1/{den}"
+            (tmp_path / f"{name}.json").write_text(json.dumps({"dist": [[0, entry], [entry, 0]]}))
+        argv = [str(tmp_path / f"{a}.json") if a in ("p", "q") else a for a in argv]
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert f"{sys.get_int_max_str_digits()} digits" in err
+        assert "sys.get_int_max_str_digits()" in err
+        if code == 5:
+            assert "best bounds so far" in err
 
     def test_cli_imports_no_numpy(self) -> None:
         proc = run_python(

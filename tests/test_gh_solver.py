@@ -12,9 +12,12 @@ from ghsegments import (
     FiniteMetricSpace,
     ResourceLimitError,
     SolverLimits,
+    build_segment_family,
     distortion,
+    geodesic_samples,
     gh_exact,
     gh_lower_bound,
+    minimize_correspondence,
     random_metric_space,
     simplex,
 )
@@ -350,3 +353,43 @@ class TestMetamorphicRelations:
                 assert err.nodes == 50 and err.lower <= d <= err.upper
             checked += 1
         assert checked >= 16 and checked + skipped == 20
+
+    def test_segment_relations_on_seeded_pairs(self) -> None:
+        # the triangle inequality through a random third space, and every
+        # lift certificate of a geodesic sample R_t and of a graft member
+        # W(mu, m) of at most 8 points against fresh solves: d(X, R_t) =
+        # t d_XY, d(R_t, Y) = (1 - t) d_XY, and d_XW + d_WY = d_XY
+        rng = random.Random(2311)
+        checked = skipped = 0
+        grafted = []  # m of each graft member re-solved
+        for _ in range(10):
+            X, Y = random_space(rng, rng.randint(5, 8)), random_space(rng, rng.randint(5, 8))
+            T = random_space(rng, rng.randint(5, 8))
+            try:
+                res = gh_exact(X, Y, limits=self.LIMITS)
+                d = res.distance
+                via_t = gh_exact(X, T, limits=self.LIMITS).distance
+                assert d <= via_t + gh_exact(T, Y, limits=self.LIMITS).distance
+                # a minimal optimal witness keeps the samples R_t small
+                R = minimize_correspondence(res.optimal)
+                certified = geodesic_samples(X, Y, R, d)
+                for sample, cert in certified:
+                    Rt, t = sample.realized, sample.t
+                    assert gh_exact(X, Rt, limits=self.LIMITS).distance == t * d == cert.d_xz
+                    assert gh_exact(Rt, Y, limits=self.LIMITS).distance == (1 - t) * d == cert.d_zy
+                Z = certified[2][0].realized  # the midpoint, an interior member
+                fam = build_segment_family(X, Y, Z, ms=(1, 2), limits=self.LIMITS)
+                for e in fam.entries:
+                    if e.points > 8:
+                        continue
+                    W, cert = e.space, e.certificate
+                    assert gh_exact(X, W, limits=self.LIMITS).distance == cert.d_xz
+                    assert gh_exact(W, Y, limits=self.LIMITS).distance == cert.d_zy
+                    assert cert.d_xz + cert.d_zy == cert.d_xy == d
+                    grafted.append(e.m)
+            except ResourceLimitError:
+                skipped += 1
+                continue
+            checked += 1
+        assert checked >= 7 and checked + skipped == 10
+        assert len(grafted) >= 8 and grafted.count(2) >= 2

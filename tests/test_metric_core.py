@@ -9,13 +9,13 @@ from fractions import Fraction
 import pytest
 
 from ghsegments import (
+    Correspondence,
     DomainError,
     FiniteMetricSpace,
     GraftParams,
     MalformedInputError,
     MetricValidationError,
     PointSubset,
-    Relation,
     StarParams,
     closed_ball,
     covering_number,
@@ -217,7 +217,7 @@ class TestValidationAgainstOracle:
             star_extension(Z, StarParams(1, Fraction(1, 2))),
             star_extension(den6_space(), StarParams(0, Fraction(2, 9))),
             even.realized,
-            interpolate(Z, den6_space(), Relation.of((0, 0), (1, 2), (2, 1)), Fraction(2, 5)).realized,
+            interpolate(Z, den6_space(), Correspondence.of(3, 3, (0, 0), (1, 2), (2, 1)), Fraction(2, 5)).realized,
             halves,
             space_from_jsonable({"dist": [[0, "6/4", "3"], ["3/2", 0, "9/6"], [3, "1.5", 0]]}),
             space_from_csv("a,b\n0,4/6\n2/3,0\n"),
