@@ -7,13 +7,14 @@ gh_exact and its geodesic_samples.
 The settings that run are one RunConfig: its defaults, then the --config
 file, then each override flag that was given (a flag's dest is its
 config key), every value checked by RunConfig.set. The report echoes
-that effective config. Exit codes:
+that effective config. Every search runs under the node budget
+(100000 unless set; null for none), whatever the sides. Exit codes:
 
     0  success
     2  command line usage error
     3  malformed input, argument outside its domain, or unwritable output
     4  metric validation failure
-    5  solver size cap or node budget exceeded
+    5  solver node budget exhausted (best bounds on stderr)
     6  construction hypothesis not satisfied (no admissible parameters)
     7  internal certificate check failed (a bug, never a property of the input)
 """
@@ -55,7 +56,7 @@ from .segments import (
     simplex_graft,
     star_extension,
 )
-from .solver import gh_exact
+from .solver import SolverLimits, gh_exact
 from .spaces import (
     PointSubset,
     isolation_radius,
@@ -76,6 +77,15 @@ def _budget(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
+
+
+def _printable(template: str, *values) -> str:
+    """template filled with each value's frac_str text, or "not printed:
+    ..." when one is past the int digit limit."""
+    try:
+        return template.format(*map(frac_str, values))
+    except DomainError as err:
+        return f"not printed: {err}"
 
 
 def _parse_labels(text: str) -> list[str]:
@@ -345,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="node_budget",
         metavar="LIMIT_NODES",
         type=_budget,
-        help="solver node budget",
+        help=f"solver node budget, an integer >= 0 (default {SolverLimits().node_budget})",
     )
 
     parser = argparse.ArgumentParser(
@@ -465,16 +475,14 @@ def main(argv=None) -> int:
     except MetricValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for v in exc.report.violations:
-            print(f"  {v.describe()}", file=sys.stderr)
+            pts = ", ".join(map(str, v.witness))
+            values = _printable("{} vs {}", v.lhs, v.rhs)
+            print(f"  {v.axiom} violated at ({pts}): {values}", file=sys.stderr)
         return EXIT_VALIDATION
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.lower is not None and exc.upper is not None:
-            try:
-                bounds = f"{frac_str(exc.lower)} <= d_GH <= {frac_str(exc.upper)}"
-            except DomainError as err:
-                bounds = f"not printed: {err}"
-            print(f"  best bounds so far: {bounds}", file=sys.stderr)
+        bounds = _printable("{} <= d_GH <= {}", exc.lower, exc.upper)
+        print(f"  best bounds so far: {bounds}", file=sys.stderr)
         return EXIT_RESOURCE
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
-"""Run configuration: solver caps, parameter overrides, output locations.
+"""Run configuration: the node budget, parameter overrides, output locations.
 
 A config file is a JSON object whose keys (KEYS) match RunConfig's
-fields, with the fields of SolverLimits (bnb_max_side, node_budget) in
-place of `limits`. RunConfig.set checks one key's value and stores it;
-file values and command-line flags both go through it, flags last, so
-a flag overrides the file, which overrides the defaults.
+fields, with SolverLimits' node_budget (null for none) in place of
+`limits`. RunConfig.set checks one key's value and stores it; file
+values and command-line flags both go through it, flags last, so a flag
+overrides the file, which overrides the defaults.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ KEYS = _LIMIT_KEYS + tuple(
 
 def _checked(key: str, value):
     """A config value, type- and range-checked, in RunConfig's form."""
-    if key == "bnb_max_side" or key == "m_max":
+    if key == "m_max":
         return _int_at_least(key, value, 1)
     if key == "node_budget":
         return None if value is None else _int_at_least(key, value, 0)

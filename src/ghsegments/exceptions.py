@@ -39,12 +39,10 @@ class DomainError(ToolkitError, ValueError):
 
 
 class ResourceLimitError(ToolkitError):
-    """A solver size cap or node budget was exceeded.
+    """The search spent its node budget before proving its incumbent. It
+    carries the bounds found, lower <= d_GH <= upper, and the node count."""
 
-    Carries the best bounds established before giving up, when any.
-    """
-
-    def __init__(self, message: str, lower=None, upper=None, nodes: int = 0):
+    def __init__(self, message: str, lower, upper, nodes: int):
         super().__init__(message)
         self.lower = lower
         self.upper = upper

@@ -3,11 +3,12 @@
     d_GH(X, Y) = (1/2) * min { dis R : R a correspondence X <-> Y }
 
 gh_exact is the only step of a solve that sees spaces. It checks the
-seed's shape, applies the side cap, puts both spaces on integer rows
-over one common denominator, orients the solve so rows range over the
-larger side, runs the kernel, maps its pairs back, refuses a spent node
-budget and re-checks the witness by distortion. Both refusals carry
-gh_lower_bound and the best upper bound known.
+seed's shape, puts both spaces on integer rows over one common
+denominator, orients the solve so rows range over the larger side, runs
+the kernel, maps its pairs back, refuses a spent node budget and
+re-checks the witness by distortion. The node budget is the one limit
+on the search, whatever the sides; a stop carries gh_lower_bound, the
+best upper bound found and the node count.
 
 The kernel, _branch_and_bound, sees two lists of integer rows, a seed
 pair list and a node budget (None for none). It returns the best
@@ -25,17 +26,16 @@ from fractions import Fraction
 
 from .correspondences import Correspondence, _check_shape, distortion, integer_distortion
 from .exceptions import ResourceLimitError, ToolkitError
-from .spaces import FiniteMetricSpace, common_rows, diameter
+from .spaces import FiniteMetricSpace, common_rows
 
 __all__ = ["SolverLimits", "GhResult", "gh_exact", "gh_lower_bound"]
 
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Size cap and budget; both overridable per call."""
+    """The search's node budget; None searches without one."""
 
-    bnb_max_side: int = 10  # max(nx, ny), unless one space is a single point
-    node_budget: int | None = None
+    node_budget: int | None = 100_000
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,6 @@ def gh_exact(
     limits = limits or SolverLimits()
     if initial is not None:
         _check_shape(initial, X, Y)
-    # against one point the full product is the only correspondence, and
-    # its first row already ties it, so that search is a single node
-    if min(X.n, Y.n) > 1 and max(X.n, Y.n) > limits.bnb_max_side:
-        message = f"side {max(X.n, Y.n)} above the branch-and-bound cap {limits.bnb_max_side}"
-        # the full product correspondence gives the upper bound
-        upper = max(diameter(X), diameter(Y)) / 2
-        raise ResourceLimitError(message, lower=gh_lower_bound(X, Y), upper=upper)
     dx, dy, scale = common_rows(X, Y)
     if initial is None:  # the full product correspondence
         seed = [(a, b) for a in range(X.n) for b in range(Y.n)]

@@ -129,10 +129,6 @@ class Violation:
     lhs: Fraction
     rhs: Fraction
 
-    def describe(self) -> str:
-        pts = ", ".join(str(i) for i in self.witness)
-        return f"{self.axiom} violated at ({pts}): {self.lhs} vs {self.rhs}"
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -8,6 +8,7 @@ summarizing the volume checked (visible with pytest -s).
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 import time
@@ -17,7 +18,6 @@ from pathlib import Path
 from ghsegments import (
     GraftParams,
     PointSubset,
-    SolverLimits,
     StarParams,
     admissible_delta,
     admissible_mu,
@@ -40,6 +40,7 @@ from ghsegments import (
     star_extension,
     validate_metric,
 )
+from ghsegments.config import KEYS, RunConfig
 from tests.conftest import (
     oracle_cover,
     oracle_gh,
@@ -47,8 +48,6 @@ from tests.conftest import (
     random_space,
     rows,
 )
-
-WIDE = SolverLimits(bnb_max_side=16)
 
 
 def test_01_exact_solver_methods_agree_on_200_random_pairs() -> None:
@@ -87,19 +86,19 @@ def test_03_geodesic_segment_identities_on_50_random_pairs() -> None:
     for _ in range(50):
         X = random_space(rng, rng.randint(2, 4))
         Y = random_space(rng, rng.randint(2, 4))
-        res = gh_exact(X, Y, limits=WIDE)
+        res = gh_exact(X, Y)
         R, d = minimize_correspondence(res.optimal), res.distance
         assert distortion(X, Y, R) == 2 * d  # still certified optimal
         realized = {t: interpolate(X, Y, R, t).realized for t in grid}
         left, right = endpoint_lifts(R)
         for t in grid:
-            dx = gh_exact(X, realized[t], limits=WIDE, initial=left).distance
-            dy = gh_exact(realized[t], Y, limits=WIDE, initial=right).distance
+            dx = gh_exact(X, realized[t], initial=left).distance
+            dy = gh_exact(realized[t], Y, initial=right).distance
             assert dx + dy == d
             assert dx == t * d and dy == (1 - t) * d
         for s, t in itertools.combinations(grid, 2):
             nat = identity_correspondence(realized[s].n)
-            dst = gh_exact(realized[s], realized[t], limits=WIDE, initial=nat).distance
+            dst = gh_exact(realized[s], realized[t], initial=nat).distance
             assert dst == abs(s - t) * d
     print("PASS: 50 random pairs, additivity and proportionality exact at t in {1/4, 1/2, 3/4}")
 
@@ -110,7 +109,7 @@ def test_04_star_extension_inequalities_on_100_random_instances() -> None:
     while checked < 100:
         X = random_space(rng, rng.randint(2, 5))
         Z = random_space(rng, rng.randint(2, 4))
-        res = gh_exact(X, Z, limits=WIDE)
+        res = gh_exact(X, Z)
         if res.distance == 0:
             continue
         checked += 1
@@ -123,7 +122,7 @@ def test_04_star_extension_inequalities_on_100_random_instances() -> None:
         R = random_correspondence(rng, X.n, Z.n)
         assert distortion(X, Zs, lift_star(R, z0)) <= distortion(X, Z, R)
         seeded = lift_star(res.optimal, z0)
-        d_star = gh_exact(X, Zs, limits=WIDE, initial=seeded).distance
+        d_star = gh_exact(X, Zs, initial=seeded).distance
         assert d_star <= res.distance
     print("PASS: 100 random star extensions, lift never dilates, distance never grows")
 
@@ -138,9 +137,9 @@ def _midpoint_instance():
 
 def test_05_graft_family_membership_and_lift_on_designed_midpoint() -> None:
     X, Y, res, Z = _midpoint_instance()
-    fam = build_segment_family(X, Y, Z, ms=(2, 3, 4, 5), limits=WIDE)
-    d_xz = gh_exact(X, Z, limits=WIDE).distance
-    d_zy = gh_exact(Z, Y, limits=WIDE).distance
+    fam = build_segment_family(X, Y, Z, ms=(2, 3, 4, 5))
+    d_xz = gh_exact(X, Z).distance
+    d_zy = gh_exact(Z, Y).distance
     z_star = max(range(Z.n), key=lambda i: (isolation_radius(Z, i), -i))
     mu_window = admissible_mu(d_xz, d_zy, isolation_radius(Z, z_star))
     mu = mu_window.hi / 2
@@ -165,8 +164,8 @@ def test_05_graft_family_membership_and_lift_on_designed_midpoint() -> None:
 
 def test_06_covering_number_blow_up_breaks_uniform_bounds() -> None:
     X, Y, _, Z = _midpoint_instance()
-    d_xz = gh_exact(X, Z, limits=WIDE).distance
-    d_zy = gh_exact(Z, Y, limits=WIDE).distance
+    d_xz = gh_exact(X, Z).distance
+    d_zy = gh_exact(Z, Y).distance
     z_star = max(range(Z.n), key=lambda i: (isolation_radius(Z, i), -i))
     mu = admissible_mu(d_xz, d_zy, isolation_radius(Z, z_star)).hi / 2
     eps = mu / 4
@@ -186,7 +185,7 @@ def test_07_known_closed_forms() -> None:
     point = simplex(1, Fraction(1))
     for _ in range(50):
         X = random_space(rng, rng.randint(1, 16))
-        assert gh_exact(point, X, limits=WIDE).distance == diameter(X) / 2
+        assert gh_exact(point, X).distance == diameter(X) / 2
     small = gh_exact(simplex(2, Fraction(1)), simplex(3, Fraction(1)))
     assert small.distance == oracle_gh(rows(simplex(2, Fraction(1))), rows(simplex(3, Fraction(1))))
     assert small.distance == Fraction(1, 2)
@@ -230,3 +229,16 @@ def test_09_readme_python_blocks_run() -> None:
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     print(f"PASS: {len(blocks)} python block(s) of README.md run clean")
+
+
+def test_10_readme_config_table_matches_runconfig() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | flag | value | default |\n", 1)[1]
+    lines = list(itertools.takewhile(lambda line: line.startswith("|"), table.splitlines()))
+    cells = [[c.strip() for c in line.strip("|").split("|")] for line in lines[1:]]
+    assert [row[0].strip("`") for row in cells] == list(KEYS)
+    defaults = RunConfig().to_jsonable()
+    for row in cells:
+        key = row[0].strip("`")
+        assert json.loads(row[3].strip("`")) == defaults[key], key
+    print(f"PASS: README's config table lists the {len(KEYS)} keys with RunConfig's defaults")

@@ -464,6 +464,41 @@ class TestCliBasics:
         if code == 5:
             assert "best bounds so far" in err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["gh", "bad", "bad"], 4),
+            (["segment-check", "bad", "bad", "bad"], 4),
+            (["validate", "bad"], 3),
+        ],
+        ids=["gh", "segment-check", "validate"],
+    )
+    def test_violation_past_digit_limit(self, capsys, tmp_path: Path, argv, code) -> None:
+        # 1 > 1/3^6000 + 1/2^9000 breaks the triangle inequality, and the
+        # right-hand side has a denominator past the int digit limit
+        entries = ["1", f"1/{3**6000}", f"1/{2**9000}"]
+        dist = [["0", entries[0], entries[1]], [entries[0], "0", entries[2]],
+                [entries[1], entries[2], "0"]]  # fmt: skip
+        (tmp_path / "bad.json").write_text(json.dumps({"dist": dist}))
+        argv = [str(tmp_path / "bad.json") if a == "bad" else a for a in argv]
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert f"{sys.get_int_max_str_digits()} digits" in err
+        if code == 4:
+            lines = err.splitlines()
+            assert lines[0] == "error: metric axioms violated"
+            assert lines[1].startswith("  triangle violated at (0, 2, 1): not printed: ")
+
+    def test_violation_lines_on_exit_4(self, capsys, tmp_path: Path) -> None:
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dist": [["0", "1"], ["2", "0"]]}')
+        code, out, err = run(capsys, "gh", str(bad), str(bad))
+        assert (code, out) == (4, "")
+        assert err.splitlines()[:2] == [
+            "error: metric axioms violated",
+            "  symmetry violated at (0, 1): 1 vs 2",
+        ]
+
     def test_cli_imports_no_numpy(self) -> None:
         proc = run_python(
             "-c", "import sys, ghsegments.cli; print('numpy' in sys.modules)"
@@ -529,8 +564,8 @@ class TestCliPipelines:
         ]
 
     def test_geodesic_endpoint_above_the_side_cap(self, capsys, tmp_path: Path) -> None:
-        # Y has 15 points, above the branch-and-bound cap 10; d(X, Y) is
-        # solvable against a point, and the t = 1 sample Y needs no solve
+        # Y has 15 points; d(X, Y) against a point is a one-node search,
+        # and the t = 1 sample Y needs no solve
         pt, y15 = tmp_path / "pt.json", tmp_path / "y15.json"
         save_space(simplex(1, Fraction(1)), pt)
         save_space(random_metric_space(15, seed=3), y15)
@@ -717,7 +752,6 @@ class TestCliDeterminism:
         )
         assert code == 5
         every_key = {
-            "bnb_max_side": 12,
             "node_budget": None,
             "sample_grid": ["0", "1/2", "1"],
             "delta": "1/4",
@@ -733,7 +767,7 @@ class TestCliDeterminism:
         )
         assert code == 0
         assert json.loads(out)["config"] == every_key
-        # a flag replaces one solver limit and keeps the file's other one
+        # a flag replaces the file's node budget and keeps its other keys
         code, out, _ = run(
             capsys, "gh", str(spaces["x"]), str(spaces["y"]), "--config", str(cfg),
             "--limit-nodes", "7",

@@ -9,7 +9,6 @@ from ghsegments import (
     DEFAULT_GRID,
     Correspondence,
     DomainError,
-    SolverLimits,
     distortion,
     endpoint_lifts,
     full_product,
@@ -23,7 +22,6 @@ from ghsegments import (
 )
 from tests.conftest import oracle_distortion, random_space, rows, run_python
 
-WIDE = SolverLimits(bnb_max_side=16)
 
 
 class TestInterpolate:
@@ -79,7 +77,7 @@ class TestEndpointLifts:
         rng = random.Random(650)
         for _ in range(20):
             X, Y = random_space(rng, rng.randint(2, 4)), random_space(rng, rng.randint(2, 4))
-            res = gh_exact(X, Y, limits=WIDE)
+            res = gh_exact(X, Y)
             R = res.optimal
             t = Fraction(rng.randint(1, 3), 4)
             mid = interpolate(X, Y, R, t).realized
@@ -114,12 +112,12 @@ class TestGeodesicSamples:
         rng = random.Random(777)
         for _ in range(10):
             X, Y = random_space(rng, rng.randint(2, 4)), random_space(rng, rng.randint(2, 4))
-            res = gh_exact(X, Y, limits=WIDE)
+            res = gh_exact(X, Y)
             R, d = minimize_correspondence(res.optimal), res.distance
             for s, cert in geodesic_samples(X, Y, R, d):
                 W = s.realized
-                dx = gh_exact(X, W, limits=WIDE).distance
-                dy = gh_exact(W, Y, limits=WIDE).distance
+                dx = gh_exact(X, W).distance
+                dy = gh_exact(W, Y).distance
                 assert dx + dy == d
                 assert dx == s.t * d
                 assert (cert.d_xz, cert.d_zy, cert.d_xy, cert.member) == (dx, dy, d, True)

@@ -13,6 +13,7 @@ from ghsegments import (
     ResourceLimitError,
     SolverLimits,
     build_segment_family,
+    diameter,
     distortion,
     geodesic_samples,
     gh_exact,
@@ -30,8 +31,6 @@ from tests.conftest import (
     rows,
     run_python,
 )
-
-WIDE = SolverLimits(bnb_max_side=16)
 
 
 class TestClosedForms:
@@ -173,15 +172,21 @@ class TestResourceLimits:
             assert exc.value.nodes <= 3
 
     def test_bnb_side_cap(self) -> None:
+        # no side is too large to search: an 11-point space against 2 and
+        # 3 points answers under the default budget, inside the bounds
+        # gh_lower_bound <= d <= max(diam X, diam Y)/2 of the full product
         X = random_metric_space(11, seed=7)
-        Y = random_metric_space(2, seed=8)
-        with pytest.raises(ResourceLimitError) as exc:
-            gh_exact(X, Y)
-        err = exc.value
-        true = gh_exact(X, Y, limits=WIDE).distance
-        assert err.lower is not None and err.upper is not None
-        assert err.lower <= true <= err.upper
-        # a one-point side has a single correspondence, so no cap applies
+        for ny, bounds, want in (
+            (2, (Fraction(3, 4), Fraction(25, 12)), ("4/3", 15)),
+            (3, (Fraction(25, 12), Fraction(7, 2)), ("29/12", 1300)),
+        ):
+            Y = random_metric_space(ny, seed=8)
+            res = gh_exact(X, Y)
+            assert (str(res.distance), res.nodes_explored) == want
+            assert bounds[0] <= res.distance <= bounds[1]
+            pairs = res.optimal.sorted_pairs()
+            assert oracle_distortion(rows(X), rows(Y), pairs) == 2 * res.distance
+        # a one-point side has a single correspondence: a one-node search
         point = simplex(1, Fraction(1))
         assert gh_exact(point, random_metric_space(15, seed=3)).distance == Fraction(7, 4)
 
@@ -226,8 +231,8 @@ class TestPinnedSearch:
         [
             ((6, 6), (5, 6), SolverLimits(node_budget=40),
              ("node budget 40 exhausted", 40, Fraction(17, 12), Fraction(61, 24))),
-            ((11, 3), (7, 8), SolverLimits(),
-             ("side 11 above the branch-and-bound cap 10", 0, Fraction(25, 12), Fraction(7, 2))),
+            ((12, 12), (101, 201), SolverLimits(),
+             ("node budget 100000 exhausted", 100000, Fraction(1, 2), Fraction(35, 24))),
         ],
     )  # fmt: skip
     def test_stops(self, sides, seeds, limits, stop) -> None:
@@ -312,14 +317,12 @@ def scaled(X: FiniteMetricSpace, k: Fraction) -> FiniteMetricSpace:
 
 class TestMetamorphicRelations:
     """Relations d_GH obeys as a metric on isometry classes, checked with
-    no oracle at sides 5-8, where the search branches deeply and the
-    enumerating oracles cannot reach. Each guards one step of gh_exact:
-    the argument swap its orientation, relabelling the row renumbering,
-    scaling the common denominator, warm starts the seed's orientation,
-    and the bounds its refusals. A pair on which any solve hits the
-    budget is counted and skipped."""
-
-    LIMITS = SolverLimits(node_budget=100_000)
+    no oracle at sides 5-8 and at 11-14 against 2-4, where the search
+    branches deeply and the enumerating oracles cannot reach. Each guards
+    one step of gh_exact: the argument swap its orientation, relabelling
+    the row renumbering, scaling the common denominator, warm starts the
+    seed's orientation, and the bounds its budget stops. A pair on which
+    any solve hits the budget is counted and skipped."""
 
     def test_relations_on_seeded_pairs(self) -> None:
         rng = random.Random(2210)
@@ -329,20 +332,20 @@ class TestMetamorphicRelations:
             p, q = rng.sample(range(X.n), X.n), rng.sample(range(Y.n), Y.n)
             Xp, Yq = relabel(X, p), relabel(Y, q)
             try:
-                res = gh_exact(X, Y, limits=self.LIMITS)
+                res = gh_exact(X, Y)
                 d = res.distance
-                assert gh_exact(Y, X, limits=self.LIMITS).distance == d
-                assert gh_exact(Xp, Yq, limits=self.LIMITS).distance == d
-                assert gh_exact(X, Xp, limits=self.LIMITS).distance == 0
+                assert gh_exact(Y, X).distance == d
+                assert gh_exact(Xp, Yq).distance == d
+                assert gh_exact(X, Xp).distance == 0
                 k = (Fraction(3), Fraction(2, 5))[i % 2]  # an integer and a rational scale
-                assert gh_exact(scaled(X, k), scaled(Y, k), limits=self.LIMITS).distance == k * d
+                assert gh_exact(scaled(X, k), scaled(Y, k)).distance == k * d
                 seed = random_correspondence(rng, X.n, Y.n)
-                assert gh_exact(X, Y, limits=self.LIMITS, initial=seed).distance == d
+                assert gh_exact(X, Y, initial=seed).distance == d
                 # res.optimal carried over to the relabelled points of Xp and Yq
                 back_p, back_q = {a: j for j, a in enumerate(p)}, {b: j for j, b in enumerate(q)}
                 moved = frozenset((back_p[a], back_q[b]) for a, b in res.optimal.pairs)
                 warm = Correspondence(moved, X.n, Y.n)
-                assert gh_exact(Xp, Yq, limits=self.LIMITS, initial=warm).distance == d
+                assert gh_exact(Xp, Yq, initial=warm).distance == d
             except ResourceLimitError:
                 skipped += 1
                 continue
@@ -353,6 +356,28 @@ class TestMetamorphicRelations:
                 assert err.nodes == 50 and err.lower <= d <= err.upper
             checked += 1
         assert checked >= 16 and checked + skipped == 20
+
+    def test_relations_on_wide_pairs(self) -> None:
+        # one side of 11-14 points against 2-4: no side is too large to
+        # search, and these pairs answer well within the default budget
+        rng = random.Random(2614)
+        checked = skipped = 0
+        for _ in range(8):
+            X, Y = random_space(rng, rng.randint(11, 14)), random_space(rng, rng.randint(2, 4))
+            p, q = rng.sample(range(X.n), X.n), rng.sample(range(Y.n), Y.n)
+            try:
+                res = gh_exact(X, Y)
+                d = res.distance
+                assert gh_exact(Y, X).distance == d
+                assert gh_exact(relabel(X, p), relabel(Y, q)).distance == d
+            except ResourceLimitError:
+                skipped += 1
+                continue
+            assert gh_lower_bound(X, Y) <= d <= max(diameter(X), diameter(Y)) / 2
+            pairs = res.optimal.sorted_pairs()
+            assert oracle_distortion(rows(X), rows(Y), pairs) == 2 * d
+            checked += 1
+        assert (checked, skipped) == (8, 0)
 
     def test_segment_relations_on_seeded_pairs(self) -> None:
         # the triangle inequality through a random third space, and every
@@ -366,25 +391,25 @@ class TestMetamorphicRelations:
             X, Y = random_space(rng, rng.randint(5, 8)), random_space(rng, rng.randint(5, 8))
             T = random_space(rng, rng.randint(5, 8))
             try:
-                res = gh_exact(X, Y, limits=self.LIMITS)
+                res = gh_exact(X, Y)
                 d = res.distance
-                via_t = gh_exact(X, T, limits=self.LIMITS).distance
-                assert d <= via_t + gh_exact(T, Y, limits=self.LIMITS).distance
+                via_t = gh_exact(X, T).distance
+                assert d <= via_t + gh_exact(T, Y).distance
                 # a minimal optimal witness keeps the samples R_t small
                 R = minimize_correspondence(res.optimal)
                 certified = geodesic_samples(X, Y, R, d)
                 for sample, cert in certified:
                     Rt, t = sample.realized, sample.t
-                    assert gh_exact(X, Rt, limits=self.LIMITS).distance == t * d == cert.d_xz
-                    assert gh_exact(Rt, Y, limits=self.LIMITS).distance == (1 - t) * d == cert.d_zy
+                    assert gh_exact(X, Rt).distance == t * d == cert.d_xz
+                    assert gh_exact(Rt, Y).distance == (1 - t) * d == cert.d_zy
                 Z = certified[2][0].realized  # the midpoint, an interior member
-                fam = build_segment_family(X, Y, Z, ms=(1, 2), limits=self.LIMITS)
+                fam = build_segment_family(X, Y, Z, ms=(1, 2))
                 for e in fam.entries:
                     if e.points > 8:
                         continue
                     W, cert = e.space, e.certificate
-                    assert gh_exact(X, W, limits=self.LIMITS).distance == cert.d_xz
-                    assert gh_exact(W, Y, limits=self.LIMITS).distance == cert.d_zy
+                    assert gh_exact(X, W).distance == cert.d_xz
+                    assert gh_exact(W, Y).distance == cert.d_zy
                     assert cert.d_xz + cert.d_zy == cert.d_xy == d
                     grafted.append(e.m)
             except ResourceLimitError:

@@ -12,7 +12,6 @@ from ghsegments import (
     GraftParams,
     HypothesisError,
     RationalInterval,
-    SolverLimits,
     StarParams,
     admissible_delta,
     admissible_mu,
@@ -44,8 +43,6 @@ from tests.conftest import (
     rows,
     run_python,
 )
-
-WIDE = SolverLimits(bnb_max_side=16)
 
 
 def midpoint_instance():
@@ -300,7 +297,7 @@ class TestLiftGraft:
 class TestFamilyAndReport:
     def test_family_certificates_all_pass(self) -> None:
         X, Y, _, Z = midpoint_instance()
-        fam = build_segment_family(X, Y, Z, ms=(1, 2, 3, 4), limits=WIDE)
+        fam = build_segment_family(X, Y, Z, ms=(1, 2, 3, 4))
         assert [e.space.n for e in fam.entries] == [3, 4, 5, 6]
         assert all(e.certificate.member for e in fam.entries)
 
@@ -313,10 +310,10 @@ class TestFamilyAndReport:
             return gh_exact(A, B, **kwargs)
 
         monkeypatch.setattr(segments, "gh_exact", counting)
-        xy = gh_exact(X, Y, limits=WIDE)
+        xy = gh_exact(X, Y)
         for ms in ((1, 2, 3), range(1, 41)):
             calls.clear()
-            fam = build_segment_family(X, Y, Z, ms=ms, limits=WIDE)
+            fam = build_segment_family(X, Y, Z, ms=ms)
             # three solves certify Z; every member is certified by its lifts
             assert len(calls) == 3
             assert sum(A is X and B is Y for A, B in calls) == 1
@@ -334,27 +331,28 @@ class TestFamilyAndReport:
         while audited < 160:
             X = random_space(rng, rng.randint(2, 4))
             Y = random_space(rng, rng.randint(2, 4))
-            res = gh_exact(X, Y, limits=WIDE)
+            res = gh_exact(X, Y)
             if res.distance == 0:
                 continue
             Z = interpolate(X, Y, res.optimal, Fraction(1, 2)).realized
-            fam = build_segment_family(X, Y, Z, ms=(1, 2, 3, 4), limits=WIDE)
+            fam = build_segment_family(X, Y, Z, ms=(1, 2, 3, 4))
             for e in fam.entries:
                 cert, W = e.certificate, e.space
                 assert cert.member and cert.d_xz == cert.d_zy == res.distance / 2
-                assert gh_exact(X, W, limits=WIDE).distance == cert.d_xz
-                assert gh_exact(W, Y, limits=WIDE).distance == cert.d_zy
+                assert gh_exact(X, W).distance == cert.d_xz
+                assert gh_exact(W, Y).distance == cert.d_zy
                 xw = oracle_distortion(rows(X), rows(W), cert.witness_xz.sorted_pairs())
                 wy = oracle_distortion(rows(W), rows(Y), cert.witness_zy.sorted_pairs())
                 assert (xw, wy) == (2 * cert.d_xz, 2 * cert.d_zy)
                 audited += 1
 
     def test_default_limits_family_is_not_capped_by_side(self) -> None:
-        # W(mu, 60) has 62 points, far above bnb_max_side = 10
+        # W(mu, 60) has 62 points; only the three base solves are searched,
+        # and each member is certified by its lifts
         X, Y, res, Z = midpoint_instance()
         rep = noncompactness_report(X, Y, Z, m_max=60)
         assert [e.m for e in rep.entries] == list(range(1, 61))
-        assert rep.entries[-1].space.n == Z.n - 1 + 60 > SolverLimits().bnb_max_side
+        assert rep.entries[-1].space.n == Z.n - 1 + 60
         assert rep.all_members and rep.cov_at_least_m
         for e in rep.entries:
             assert e.certificate.d_xz == e.certificate.d_zy == res.distance / 2
@@ -370,14 +368,14 @@ class TestFamilyAndReport:
         while pairs < 6:
             X = random_space(rng, rng.randint(2, 5))
             Y = random_space(rng, rng.randint(2, 5))
-            res = gh_exact(X, Y, limits=WIDE)
+            res = gh_exact(X, Y)
             if res.distance == 0:
                 continue
             pairs += 1
             Z = interpolate(X, Y, res.optimal, Fraction(1, 2)).realized
-            base = segment_membership(X, Y, Z, limits=WIDE)
+            base = segment_membership(X, Y, Z)
             for zs in range(Z.n):
-                fam = build_segment_family(X, Y, Z, ms=ms, z_star=zs, limits=WIDE)
+                fam = build_segment_family(X, Y, Z, ms=ms, z_star=zs)
                 assert [e.m for e in fam.entries] == list(ms)
                 for e in fam.entries:
                     W = simplex_graft(Z, GraftParams(zs, fam.mu, e.m))
@@ -461,7 +459,7 @@ sys.exit(1)
 
     def test_report_covering_numbers_grow(self) -> None:
         X, Y, _, Z = midpoint_instance()
-        rep = noncompactness_report(X, Y, Z, m_max=5, limits=WIDE)
+        rep = noncompactness_report(X, Y, Z, m_max=5)
         assert rep.eps == rep.mu / 4
         assert rep.all_members and rep.cov_at_least_m
         for entry in rep.entries:
@@ -470,7 +468,7 @@ sys.exit(1)
 
     def test_report_mu_respects_window(self) -> None:
         X, Y, res, Z = midpoint_instance()
-        rep = noncompactness_report(X, Y, Z, m_max=2, limits=WIDE)
+        rep = noncompactness_report(X, Y, Z, m_max=2)
         zs = Z.index_of(rep.z_star_label)
         window = admissible_mu(
             res.distance / 2, res.distance / 2, isolation_radius(Z, zs)
@@ -484,5 +482,5 @@ sys.exit(1)
 
     def test_custom_graft_point(self) -> None:
         X, Y, _, Z = midpoint_instance()
-        rep = noncompactness_report(X, Y, Z, m_max=2, z_star=1, limits=WIDE)
+        rep = noncompactness_report(X, Y, Z, m_max=2, z_star=1)
         assert rep.z_star == 1 and rep.z_star_label == Z.labels[1]
