@@ -11,12 +11,16 @@ on the search, whatever the sides; a stop carries gh_lower_bound, the
 best upper bound found and the node count.
 
 The kernel, _branch_and_bound, sees two lists of integer rows, a seed
-pair list and a node budget (None for none). It returns the best
-distortion, its pairs, the node count and whether the budget ran out.
-It assigns each row, in decreasing eccentricity order, a non-empty
-subset of the columns, pruning any partial assignment whose distortion
-already ties the incumbent; the last row takes exactly the columns no
-earlier row covers, or, when all are covered, any single column.
+pair list (None for the full product) and a node budget (None for
+none). It returns the best distortion, its pairs, the node count and
+whether the budget ran out. It assigns each row, in decreasing
+eccentricity order, a non-empty subset of the columns, pruning any
+partial assignment whose distortion already ties the incumbent; the
+last row takes exactly the columns no earlier row covers, or, when all
+are covered, any single column. The search is one loop over an explicit
+stack of options: each entry tries one more column on top of a row's
+chosen set, and a node that survives its bounds puts the next row on
+offer. It calls nothing recursively, so it has no depth limit.
 """
 
 from __future__ import annotations
@@ -77,14 +81,11 @@ def gh_exact(
     if initial is not None:
         _check_shape(initial, X, Y)
     dx, dy, scale = common_rows(X, Y)
-    if initial is None:  # the full product correspondence
-        seed = [(a, b) for a in range(X.n) for b in range(Y.n)]
-    else:
-        seed = list(initial.pairs)
     # rows range over the larger space so each branching step stays narrow
     flip = Y.n > X.n
     if flip:
-        dx, dy, seed = dy, dx, [(b, a) for a, b in seed]
+        dx, dy = dy, dx
+    seed = None if initial is None else [(b, a) if flip else (a, b) for a, b in initial.pairs]
     val, pairs, nodes, spent = _branch_and_bound(dx, dy, seed, limits.node_budget)
     if flip:
         pairs = [(b, a) for a, b in pairs]
@@ -134,16 +135,18 @@ def _swap_classes(d) -> list[int]:
     return cls
 
 
-class _BudgetSpent(Exception):
-    """Unwinds the kernel's recursion once the node budget runs out."""
-
-
 def _branch_and_bound(dA, dB, seed, budget):
-    """(best value, its pairs, node count, budget spent) over integer rows."""
+    """(best value, its pairs, node count, budget spent) over integer rows;
+    with no seed the incumbent is the full product, at the larger diameter."""
     na, nb = len(dA), len(dB)
+    last = na - 1
     full_cols = (1 << nb) - 1
-    best_pairs = seed
-    best_val = integer_distortion(dA, dB, seed)
+    if seed is None:
+        best_val = max(max(map(max, dA)), max(map(max, dB)))
+        best_pairs = [(a, b) for a in range(na) for b in range(nb)]
+    else:
+        best_val = integer_distortion(dA, dB, seed)
+        best_pairs = seed
 
     ecc = [max(row) for row in dA]
     cls = _swap_classes(dA)
@@ -152,110 +155,92 @@ def _branch_and_bound(dA, dB, seed, budget):
     dA = [[dA[r][s] for s in order] for r in order]
     cls = [cls[r] for r in order]
     nodes = 0
-    chosen_masks = [0] * na
-    chosen_cols: list[list[int]] = [[] for _ in range(na)]
-    singles = [[b] for b in range(nb)]
-
-    def advance(pos, covered, val, M):
-        """Row pos just got chosen_cols[pos]; push bounds and recurse."""
-        nonlocal nodes, best_val, best_pairs
+    # a row on offer is (pos, covered, M, path, prev_mask, options): path
+    # links the column sets chosen above it. An entry (row, i, v, members,
+    # mask) tries options[i] on top of the columns in members; its pop pushes
+    # the sibling, then the extension, then the next row, so entries pop in
+    # depth-first pre-order. The first row's mismatch table is all zeros.
+    options = [list(range(nb))] if last == 0 else [[b] for b in range(nb)]
+    stack = [((0, 0, [[0] * nb for _ in range(na)], None, 0, options), 0, 0, [], 0)]
+    while stack:
+        row, i, v, members, mask = stack.pop()
+        pos, covered, M, path, prev_mask, options = row
+        if i + 1 < len(options):
+            stack.append((row, i + 1, v, members, mask))
+        cols = options[i]
+        Mr = M[pos]
+        for b in cols:
+            if Mr[b] > v:
+                v = Mr[b]
+            rb = dB[b]
+            for b2 in members or cols:  # rb[b] == 0 never raises v
+                if rb[b2] > v:
+                    v = rb[b2]
+        if v >= best_val:
+            continue
+        members = members + cols
+        if pos < last:
+            mask |= 1 << cols[0]
+            if i + 1 < len(options):
+                stack.append((row, i + 1, v, members, mask))
+            # consecutive rows of one swap class take non-decreasing masks; the
+            # last row is exempt, since the uncovered-set rule fixes its choice
+            if mask < prev_mask:
+                continue
+            covered |= mask
         if budget is not None and nodes >= budget:
-            raise _BudgetSpent
+            return best_val, best_pairs, nodes, True
         nodes += 1
-        if pos == na - 1:
-            # expand only completes a covering relation that beats the incumbent
-            best_val = val
-            best_pairs = [(order[p], b) for p in range(na) for b in chosen_cols[p]]
-            return
-        cols = chosen_cols[pos]
+        path = (members, path)
+        if pos == last:
+            # a row reaches here only below the incumbent, so this covering
+            # relation is the new incumbent
+            best_val, best_pairs = v, []
+            for p in range(last, -1, -1):
+                cols, path = path
+                best_pairs += [(order[p], b) for b in cols]
+            continue
         # fold the new pairs into the mismatch table of the open rows
         M2 = [None] * na
         for q in range(pos + 1, na):
-            old = M[q]
             daq = dA[q][pos]
-            new = old[:]
+            new = M[q][:]
             for b2 in range(nb):
                 m = new[b2]
                 if m >= best_val:
                     continue
                 rb2 = dB[b2]
-                for b in cols:
-                    v = daq - rb2[b]
-                    if v < 0:
-                        v = -v
-                    if v > m:
-                        m = v
+                for b in members:
+                    d = daq - rb2[b]
+                    if d < 0:
+                        d = -d
+                    if d > m:
+                        m = d
                 new[b2] = m
             M2[q] = new
-        bound = val
+        bound = v
         for q in range(pos + 1, na):
             m = min(M2[q])
             if m > bound:
                 bound = m
-        if bound >= best_val:
-            return
-        lv = full_cols & ~covered
-        while lv:
+        left = lv = full_cols & ~covered
+        while lv and bound < best_val:
             lb = lv & -lv
             bcol = lb.bit_length() - 1
             m = min(M2[q][bcol] for q in range(pos + 1, na))
             if m > bound:
                 bound = m
-                if bound >= best_val:
-                    return
             lv ^= lb
-        expand(pos + 1, covered, val, M2)
-
-    def expand(pos, covered, val, M):
-        Mr = M[pos]
-        if pos == na - 1:
-            # the last row takes exactly the uncovered columns, or else any one column
-            left = full_cols & ~covered
-            options = [[b for b in range(nb) if left >> b & 1]] if left else singles
-            for cols in options:
-                v = val
-                for b in cols:
-                    if Mr[b] > v:
-                        v = Mr[b]
-                    rb = dB[b]
-                    for b2 in cols:  # rb[b] == 0 never raises v
-                        if rb[b2] > v:
-                            v = rb[b2]
-                if v < best_val:
-                    chosen_cols[pos] = cols
-                    advance(pos, full_cols, v, M)
-            return
-        feasible = [b for b in range(nb) if Mr[b] < best_val]
-        feasible.sort(key=lambda b: Mr[b])
-        # consecutive rows of one swap class take non-decreasing masks; the
-        # last row is exempt, since the uncovered-set rule fixes its choice
-        prev_mask = 0
-        if 0 < pos and cls[pos] == cls[pos - 1]:
-            prev_mask = chosen_masks[pos - 1]
-
-        def grow(start, mask, v, members):
-            for i in range(start, len(feasible)):
-                b = feasible[i]
-                v2 = v if v > Mr[b] else Mr[b]
-                rb = dB[b]
-                for b2 in members:
-                    if rb[b2] > v2:
-                        v2 = rb[b2]
-                if v2 >= best_val:
-                    continue
-                mask2 = mask | (1 << b)
-                members.append(b)
-                if mask2 >= prev_mask:
-                    chosen_masks[pos] = mask2
-                    chosen_cols[pos] = members[:]
-                    advance(pos, covered | mask2, v2, M)
-                grow(i + 1, mask2, v2, members)
-                members.pop()
-
-        grow(0, 0, val, [])
-
-    try:
-        expand(0, 0, 0, [[0] * nb for _ in range(na)])
-    except _BudgetSpent:
-        return best_val, best_pairs, nodes, True
+        if bound >= best_val:
+            continue
+        Mr = M2[pos + 1]
+        if pos + 1 < last:
+            options = [[b] for b in sorted(range(nb), key=Mr.__getitem__) if Mr[b] < best_val]
+        elif left:  # the last row takes exactly the uncovered columns
+            options = [[b for b in range(nb) if left >> b & 1]]
+        else:  # or, when every column is covered, any one column
+            options = [[b] for b in range(nb)]
+        if options:
+            prev = mask if cls[pos + 1] == cls[pos] else 0
+            stack.append(((pos + 1, covered, M2, path, prev, options), 0, v, [], 0))
     return best_val, best_pairs, nodes, False

@@ -439,15 +439,13 @@ def covering_number(space: FiniteMetricSpace, eps) -> int:
     epsilon = as_fraction(eps)
     if epsilon <= 0:
         raise DomainError(f"covering radius must be > 0, got {epsilon}")
-    # v / den < p / q, cross-multiplied
-    q, bound = epsilon.denominator, epsilon.numerator * space.view.den
-    balls = []
-    for row in space.view.rows:
-        mask = 0
-        for i, v in enumerate(row):
-            if v * q < bound:
-                mask |= 1 << i
-        balls.append(mask)
+    # v / den < p / q exactly when the integer v is below ceil(p * den / q)
+    lim = -(-epsilon.numerator * space.view.den // epsilon.denominator)
+    # bit i of a ball's mask is point i, so each row is read backwards
+    balls = [
+        int("".join(["1" if v < lim else "0" for v in reversed(row)]), 2)
+        for row in space.view.rows
+    ]
     return _min_cover_size((1 << space.n) - 1, balls)
 
 

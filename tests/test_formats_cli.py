@@ -433,6 +433,18 @@ class TestCliBasics:
             code, out, err = run(capsys, *argv)
             assert code == 3 and out == "" and "error:" in err, argv
 
+    def test_large_simplex_answers(self, capsys, tmp_path: Path) -> None:
+        # a 300-row search is deeper than Python's recursion limit; the
+        # simplex is written out directly, since building it validates it
+        big, small = tmp_path / "big.json", tmp_path / "small.json"
+        dist = [[int(i != j) for j in range(300)] for i in range(300)]
+        big.write_text(json.dumps({"dist": dist}))
+        save_space(random_metric_space(3, seed=0), small)
+        code, out, _ = run(capsys, "gh", str(big), str(small))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["results"]["distance"], payload["nodes"]["gh"]) == ("35/24", 1495)
+
     def test_node_budget_exhaustion_is_exit_5(self, capsys, spaces) -> None:
         code, _, err = run(
             capsys, "gh", str(spaces["x"]), str(spaces["y"]), "--limit-nodes", "2"

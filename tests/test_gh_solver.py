@@ -10,20 +10,27 @@ import pytest
 from ghsegments import (
     Correspondence,
     FiniteMetricSpace,
+    GraftParams,
     ResourceLimitError,
     SolverLimits,
     build_segment_family,
     diameter,
     distortion,
+    full_product,
     geodesic_samples,
     gh_exact,
     gh_lower_bound,
+    isolation_radius,
     minimize_correspondence,
     random_metric_space,
     simplex,
+    simplex_graft,
 )
+from ghsegments import solver
+from ghsegments.segments import _pick_z_star
 from ghsegments.solver import _swap_classes
 from tests.conftest import (
+    count_calls,
     oracle_distortion,
     oracle_gh,
     random_correspondence,
@@ -161,6 +168,34 @@ class TestSeeding:
         bad = Correspondence.of(2, 2, (0, 0), (1, 1))
         with pytest.raises(Exception):
             gh_exact(X, Y, initial=bad)
+
+    def test_distortion_is_taken_of_an_initial_only(self, monkeypatch) -> None:
+        # without an initial the incumbent is the full product, whose
+        # distortion is the larger diameter, so no pair list is priced
+        X, Y = random_metric_space(5, seed=1), random_metric_space(4, seed=2)
+        calls = count_calls(monkeypatch, solver, "integer_distortion")
+        want = gh_exact(X, Y)
+        assert calls["integer_distortion"] == 0
+        got = gh_exact(X, Y, initial=full_product(X.n, Y.n))
+        assert calls["integer_distortion"] == 1
+        assert (got.distance, got.nodes_explored) == (want.distance, want.nodes_explored)
+
+
+class TestDeepInputs:
+    """The search keeps its own stack, so the number of rows bounds
+    neither it nor its depth: these solves recurse past Python's limit
+    in a search that calls itself once per row."""
+
+    def test_large_simplex_against_three_points(self) -> None:
+        res = gh_exact(simplex(300, 1), random_metric_space(3, seed=0))
+        assert (res.distance, res.nodes_explored) == (Fraction(35, 24), 1495)
+
+    def test_large_graft_against_three_points(self) -> None:
+        Z = random_metric_space(3, seed=33)
+        z_star = _pick_z_star(Z)
+        W = simplex_graft(Z, GraftParams(z_star, isolation_radius(Z, z_star), 300))
+        res = gh_exact(W, random_metric_space(3, seed=13))
+        assert (res.distance, res.nodes_explored) == (Fraction(19, 4), 615)
 
 
 class TestResourceLimits:
