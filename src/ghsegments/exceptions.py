@@ -40,13 +40,16 @@ class DomainError(ToolkitError, ValueError):
 
 class ResourceLimitError(ToolkitError):
     """The search spent its node budget before proving its incumbent. It
-    carries the bounds found, lower <= d_GH <= upper, and the node count."""
+    carries the bounds found, lower <= d_GH <= upper, the node count and
+    the witness: the incumbent correspondence, whose distortion is
+    2 * upper."""
 
-    def __init__(self, message: str, lower, upper, nodes: int):
+    def __init__(self, message: str, lower, upper, nodes: int, witness):
         super().__init__(message)
         self.lower = lower
         self.upper = upper
         self.nodes = nodes
+        self.witness = witness
 
 
 class HypothesisError(ToolkitError):

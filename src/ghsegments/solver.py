@@ -5,10 +5,11 @@
 gh_exact is the only step of a solve that sees spaces. It checks the
 seed's shape, puts both spaces on integer rows over one common
 denominator, orients the solve so rows range over the larger side, runs
-the kernel, maps its pairs back, refuses a spent node budget and
-re-checks the witness by distortion. The node budget is the one limit
-on the search, whatever the sides; a stop carries gh_lower_bound, the
-best upper bound found and the node count.
+the kernel, maps its pairs back, re-checks the witness by distortion
+and refuses a spent node budget. The node budget is the one limit on
+the search, whatever the sides; a stop carries gh_lower_bound, the best
+upper bound found, the node count and the witness of that bound: the
+kernel's incumbent, re-checked like any other.
 
 The kernel, _branch_and_bound, sees two lists of integer rows, a seed
 pair list (None for the full product) and a node budget (None for
@@ -21,6 +22,16 @@ are covered, any single column. The search is one loop over an explicit
 stack of options: each entry tries one more column on top of a row's
 chosen set, and a node that survives its bounds puts the next row on
 offer. It calls nothing recursively, so it has no depth limit.
+
+A node's bounds come from a mismatch table: for each open row and each
+column, the largest mismatch that pairing them would add to the chosen
+pairs. A node closes when some uncovered column is at or above the
+incumbent in every open row, or some open row is in every column. The
+column test runs first and reads only the cells of the uncovered
+columns, so the nodes it closes (about three in four on random 7x7 and
+8x8 pairs) never build the table; the others fold their new pairs into
+it, test its rows, and offer the next row its columns in increasing
+mismatch order.
 """
 
 from __future__ import annotations
@@ -90,14 +101,17 @@ def gh_exact(
     if flip:
         pairs = [(b, a) for a, b in pairs]
     distance = Fraction(val, 2 * scale)
+    witness = Correspondence(frozenset(pairs), X.n, Y.n)
+    # the witness must certify the value, or on a stop the upper bound,
+    # exactly; a mismatch is a solver bug
+    if distortion(X, Y, witness) != 2 * distance:
+        raise ToolkitError(f"witness distortion does not certify {distance}")
     if spent:
         message = f"node budget {limits.node_budget} exhausted"
-        raise ResourceLimitError(message, lower=gh_lower_bound(X, Y), upper=distance, nodes=nodes)
-    optimal = Correspondence(frozenset(pairs), X.n, Y.n)
-    # the witness must certify the value exactly; a mismatch is a solver bug
-    if distortion(X, Y, optimal) != 2 * distance:
-        raise ToolkitError(f"witness distortion does not certify d_GH = {distance}")
-    return GhResult(distance, optimal, nodes)
+        raise ResourceLimitError(
+            message, lower=gh_lower_bound(X, Y), upper=distance, nodes=nodes, witness=witness
+        )
+    return GhResult(distance, witness, nodes)
 
 
 # ---------------------------------------------------------- branch and bound
@@ -200,10 +214,44 @@ def _branch_and_bound(dA, dB, seed, budget):
                 cols, path = path
                 best_pairs += [(order[p], b) for b in cols]
             continue
-        # fold the new pairs into the mismatch table of the open rows
+        # A cell M[q][b2] of an open row q is the largest mismatch between
+        # q and b2 over the pairs chosen so far; this row's pairs raise it to
+        # at least |dA[q][pos] - dB[b2][b]| for each member b, and a cell at
+        # or above the incumbent rules b2 out of row q. Every uncovered
+        # column must go to some open row, so the column test comes first,
+        # from each such column's cells alone: the first column that every
+        # open row rules out closes the node before any table is built (three
+        # nodes in four on random 7x7 and 8x8 pairs). dA is symmetric, so
+        # da[q] is dA[q][pos].
+        da = dA[pos]
+        left = lv = full_cols & ~covered
+        while lv:
+            lb = lv & -lv
+            b2 = lb.bit_length() - 1
+            rb2 = dB[b2]
+            for q in range(pos + 1, na):
+                if M[q][b2] >= best_val:
+                    continue
+                daq = da[q]
+                for b in members:
+                    d = daq - rb2[b]
+                    if d < 0:
+                        d = -d
+                    if d >= best_val:
+                        break
+                else:
+                    break  # row q can take column b2
+            else:
+                break  # no open row can: the node closes
+            lv ^= lb
+        if lv:
+            continue
+        # fold the new pairs into the table of the open rows; a row that
+        # rules out every column closes the node too, and cells already at
+        # or above the incumbent are left as they are
         M2 = [None] * na
         for q in range(pos + 1, na):
-            daq = dA[q][pos]
+            daq = da[q]
             new = M[q][:]
             for b2 in range(nb):
                 m = new[b2]
@@ -217,21 +265,10 @@ def _branch_and_bound(dA, dB, seed, budget):
                     if d > m:
                         m = d
                 new[b2] = m
+            if min(new) >= best_val:
+                break
             M2[q] = new
-        bound = v
-        for q in range(pos + 1, na):
-            m = min(M2[q])
-            if m > bound:
-                bound = m
-        left = lv = full_cols & ~covered
-        while lv and bound < best_val:
-            lb = lv & -lv
-            bcol = lb.bit_length() - 1
-            m = min(M2[q][bcol] for q in range(pos + 1, na))
-            if m > bound:
-                bound = m
-            lv ^= lb
-        if bound >= best_val:
+        if M2[last] is None:
             continue
         Mr = M2[pos + 1]
         if pos + 1 < last:
@@ -240,7 +277,6 @@ def _branch_and_bound(dA, dB, seed, budget):
             options = [[b for b in range(nb) if left >> b & 1]]
         else:  # or, when every column is covered, any one column
             options = [[b] for b in range(nb)]
-        if options:
-            prev = mask if cls[pos + 1] == cls[pos] else 0
-            stack.append(((pos + 1, covered, M2, path, prev, options), 0, v, [], 0))
+        prev = mask if cls[pos + 1] == cls[pos] else 0
+        stack.append(((pos + 1, covered, M2, path, prev, options), 0, v, [], 0))
     return best_val, best_pairs, nodes, False

@@ -65,9 +65,10 @@ class TestDistortion:
         for _ in range(50):
             X = random_space(rng, rng.randint(1, 5))
             Y = random_space(rng, rng.randint(1, 5))
-            sigma = random_correspondence(rng, X.n, Y.n)
-            got = distortion(X, Y, sigma)
-            assert got == oracle_distortion(rows(X), rows(Y), sigma.sorted_pairs())
+            # the full product's distortion is read off the diameters
+            for sigma in (random_correspondence(rng, X.n, Y.n), full_product(X.n, Y.n)):
+                got = distortion(X, Y, sigma)
+                assert got == oracle_distortion(rows(X), rows(Y), sigma.sorted_pairs())
 
     def test_out_of_range_pair_rejected(self) -> None:
         X = simplex(2, Fraction(1))

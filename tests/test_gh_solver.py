@@ -276,6 +276,35 @@ class TestPinnedSearch:
             gh_exact(X, Y, limits=limits)
         err = exc.value
         assert (str(err), err.nodes, err.lower, err.upper) == stop
+        # the stop's witness realises its upper bound and is onto both spaces
+        pairs = err.witness.sorted_pairs()
+        assert {x for x, _ in pairs} == set(range(X.n))
+        assert {y for _, y in pairs} == set(range(Y.n))
+        assert oracle_distortion(rows(X), rows(Y), pairs) == 2 * err.upper
+
+    # random 8x8 pairs that search deeply: three solves of 16k-54k nodes
+    # and one stop at the default budget, whose witness is its incumbent
+    DEEP_SEEDS = (16, 34, 25, 14)
+    DEEP_OUTCOMES = [
+        ("3/4", 16117), ("17/12", 22323), ("7/6", 53836), ("5/6", "41/24", 100000),
+    ]  # fmt: skip
+    DEEP_WITNESS_DIGEST = "b3ecad3da87e3e38"  # sha256 of the repr of every sorted witness
+
+    def test_deep_searches(self) -> None:
+        got, witnesses = [], []
+        for s in self.DEEP_SEEDS:
+            X, Y = random_metric_space(8, seed=300 + s), random_metric_space(8, seed=400 + s)
+            try:
+                res = gh_exact(X, Y)
+            except ResourceLimitError as err:
+                got.append((str(err.lower), str(err.upper), err.nodes))
+                witnesses.append(err.witness.sorted_pairs())
+            else:
+                got.append((str(res.distance), res.nodes_explored))
+                witnesses.append(res.optimal.sorted_pairs())
+        assert got == self.DEEP_OUTCOMES
+        digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
+        assert digest == self.DEEP_WITNESS_DIGEST
 
 
 def brute_classes(d) -> list[int]:
