@@ -27,8 +27,10 @@ from ghsegments import (
     simplex_graft,
 )
 from ghsegments import solver
+from ghsegments.correspondences import integer_distortion
 from ghsegments.segments import _pick_z_star
 from ghsegments.solver import _swap_classes
+from ghsegments.spaces import common_rows
 from tests.conftest import (
     count_calls,
     oracle_distortion,
@@ -181,6 +183,78 @@ class TestSeeding:
         assert (got.distance, got.nodes_explored) == (want.distance, want.nodes_explored)
 
 
+class TestMapPairDescent:
+    """The descent that seeds gh_exact on pairs of at least
+    _DESCENT_MIN_SIDE points on each side."""
+
+    def test_pairs_are_onto_priced_and_deterministic(self) -> None:
+        rng = random.Random(3111)
+        cases = [(simplex(n, 1), simplex(n + 1, 1)) for n in range(1, 9)]
+        for _ in range(40):
+            cases.append((random_space(rng, rng.randint(1, 9)), random_space(rng, rng.randint(1, 9))))
+        for X, Y in cases:
+            dA, dB, scale = common_rows(X, Y)
+            val, pairs = solver._map_pair_descent(dA, dB)
+            assert {a for a, _ in pairs} == set(range(X.n))
+            assert {b for _, b in pairs} == set(range(Y.n))
+            assert val == integer_distortion(dA, dB, pairs)
+            assert oracle_distortion(rows(X), rows(Y), pairs) == Fraction(val, scale)
+            again = solver._map_pair_descent([r[:] for r in dA], [r[:] for r in dB])
+            assert again == (val, pairs)
+
+    def test_seeded_solves_match_the_unseeded_kernel(self) -> None:
+        # the seed only prunes: each pair keeps the unseeded kernel's
+        # distance and takes no more nodes. A pair the unseeded kernel
+        # cannot finish within the budget below is not compared
+        rng = random.Random(3110)
+        compared = drawn = 0
+        while compared < 100 and drawn < 160:
+            drawn += 1
+            X, Y = random_space(rng, rng.randint(6, 9)), random_space(rng, rng.randint(6, 9))
+            dA, dB, scale = common_rows(X, Y)
+            if Y.n > X.n:  # gh_exact's orientation, so both run one search
+                dA, dB = dB, dA
+            val, _, nodes, spent = solver._branch_and_bound(dA, dB, None, 5000)
+            if spent:
+                continue
+            res = gh_exact(X, Y)
+            assert res.distance == Fraction(val, 2 * scale)
+            assert res.nodes_explored <= nodes
+            compared += 1
+        assert compared == 100
+
+    def test_descent_runs_only_at_the_gate(self, monkeypatch) -> None:
+        calls = count_calls(monkeypatch, solver, "_map_pair_descent")
+        for nx, ny in ((5, 5), (5, 9), (9, 5), (3, 12), (1, 8)):
+            gh_exact(random_metric_space(nx, seed=nx), random_metric_space(ny, seed=50 + ny))
+        assert calls["_map_pair_descent"] == 0
+        gh_exact(random_metric_space(6, seed=6), random_metric_space(6, seed=56))
+        assert calls["_map_pair_descent"] == 1
+
+    def test_a_better_initial_is_the_seed(self, monkeypatch) -> None:
+        # the descent stops above the optimum on this pair, so the optimum
+        # given as initial is the seed, and the search keeps it
+        X, Y = random_metric_space(8, seed=316), random_metric_space(8, seed=416)
+        dA, dB, scale = common_rows(X, Y)
+        found, descended = solver._map_pair_descent(dA, dB)
+        opt = gh_exact(X, Y)
+        assert 2 * opt.distance < Fraction(found, scale)
+        seeds = []
+        kernel = solver._branch_and_bound
+
+        def spy(dA, dB, seed, budget):
+            seeds.append(seed)
+            return kernel(dA, dB, seed, budget)
+
+        monkeypatch.setattr(solver, "_branch_and_bound", spy)
+        got = gh_exact(X, Y, initial=opt.optimal)
+        assert set(seeds[0]) == opt.optimal.pairs
+        assert (got.distance, got.optimal) == (opt.distance, opt.optimal)
+        # a worse initial gives way to the descent's correspondence
+        gh_exact(X, Y, initial=full_product(X.n, Y.n))
+        assert seeds[1] == descended
+
+
 class TestDeepInputs:
     """The search keeps its own stack, so the number of rows bounds
     neither it nor its depth: these solves recurse past Python's limit
@@ -247,12 +321,12 @@ class TestPinnedSearch:
     DISTANCES_AND_NODES = [
         ("1/2", 3), ("1/2", 7), ("1/2", 15), ("1/2", 31), ("1/2", 63), ("1/2", 127),
         ("1/2", 255), ("1/2", 511), ("1/6", 3), ("1/6", 3), ("29/24", 77), ("29/24", 77),
-        ("7/2", 20), ("7/2", 20), ("11/8", 217), ("11/8", 205), ("35/8", 53), ("35/8", 53),
-        ("11/12", 5309), ("11/12", 5309), ("7/6", 37), ("7/6", 795), ("13/6", 3),
-        ("13/6", 4), ("13/12", 181), ("13/12", 17), ("5/6", 57), ("5/6", 46), ("11/2", 5),
+        ("7/2", 20), ("7/2", 20), ("11/8", 110), ("11/8", 185), ("35/8", 53), ("35/8", 53),
+        ("11/12", 452), ("11/12", 452), ("7/6", 29), ("7/6", 738), ("13/6", 3),
+        ("13/6", 4), ("13/12", 181), ("13/12", 17), ("5/6", 36), ("5/6", 37), ("11/2", 5),
         ("5/4", 19), ("11/12", 18), ("9/8", 6),
     ]  # fmt: skip
-    WITNESS_DIGEST = "4b6ff640a89a0d93"  # sha256 of the repr of every sorted witness
+    WITNESS_DIGEST = "3456f629f9a5bbc0"  # sha256 of the repr of every sorted witness
 
     def test_distances_nodes_and_witnesses(self) -> None:
         results = [gh_exact(X, Y, initial=init) for X, Y, init in pinned_corpus()]
@@ -265,9 +339,9 @@ class TestPinnedSearch:
         "sides, seeds, limits, stop",
         [
             ((6, 6), (5, 6), SolverLimits(node_budget=40),
-             ("node budget 40 exhausted", 40, Fraction(17, 12), Fraction(61, 24))),
-            ((12, 12), (101, 201), SolverLimits(),
-             ("node budget 100000 exhausted", 100000, Fraction(1, 2), Fraction(35, 24))),
+             ("node budget 40 exhausted", 40, Fraction(17, 12), Fraction(35, 24))),
+            ((8, 8), (314, 414), SolverLimits(),
+             ("node budget 100000 exhausted", 100000, Fraction(5, 6), Fraction(41, 24))),
         ],
     )  # fmt: skip
     def test_stops(self, sides, seeds, limits, stop) -> None:
@@ -282,11 +356,11 @@ class TestPinnedSearch:
         assert {y for _, y in pairs} == set(range(Y.n))
         assert oracle_distortion(rows(X), rows(Y), pairs) == 2 * err.upper
 
-    # random 8x8 pairs that search deeply: three solves of 16k-54k nodes
+    # random 8x8 pairs that search deeply: three solves of 2.7k-22k nodes
     # and one stop at the default budget, whose witness is its incumbent
     DEEP_SEEDS = (16, 34, 25, 14)
     DEEP_OUTCOMES = [
-        ("3/4", 16117), ("17/12", 22323), ("7/6", 53836), ("5/6", "41/24", 100000),
+        ("3/4", 2684), ("17/12", 22179), ("7/6", 9431), ("5/6", "41/24", 100000),
     ]  # fmt: skip
     DEEP_WITNESS_DIGEST = "b3ecad3da87e3e38"  # sha256 of the repr of every sorted witness
 
@@ -305,6 +379,15 @@ class TestPinnedSearch:
         assert got == self.DEEP_OUTCOMES
         digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
         assert digest == self.DEEP_WITNESS_DIGEST
+
+    def test_twelve_point_pair_solves(self) -> None:
+        # unseeded, the kernel spends the default budget on this pair and
+        # stops with the bracket [1/2, 35/24]; the descent's seed solves it
+        X, Y = random_metric_space(12, seed=101), random_metric_space(12, seed=201)
+        res = gh_exact(X, Y)
+        assert (res.distance, res.nodes_explored) == (Fraction(2, 3), 39076)
+        pairs = res.optimal.sorted_pairs()
+        assert oracle_distortion(rows(X), rows(Y), pairs) == 2 * res.distance
 
 
 def brute_classes(d) -> list[int]:
