@@ -17,6 +17,7 @@ from pathlib import Path
 from .exceptions import MalformedInputError
 from .formats import _read_json
 from .geodesics import DEFAULT_GRID
+from .segments import DEFAULT_M_MAX, DEFAULT_MS
 from .solver import SolverLimits
 from .spaces import as_fraction
 
@@ -31,8 +32,8 @@ class RunConfig:
     sample_grid: tuple = DEFAULT_GRID
     delta: Fraction | None = None
     mu: Fraction | None = None
-    ms: tuple = (2, 3, 4)
-    m_max: int = 5
+    ms: tuple = DEFAULT_MS
+    m_max: int = DEFAULT_M_MAX
     out: str | None = None
     out_dir: str | None = None
 

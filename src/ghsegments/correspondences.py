@@ -155,20 +155,25 @@ def distortion(X: FiniteMetricSpace, Y: FiniteMetricSpace, sigma: Correspondence
 
     sigma's nx and ny must be X.n and Y.n, else DomainError; the maximum
     runs over all (unordered) pairs of sigma's pairs, a pair with itself
-    contributing 0. The full product's is the larger diameter, read off
-    without that quadratic pass: every term is at most it, and the pairs
-    that share a point of one side reach the other side's diameter.
+    contributing 0.
     """
     _check_shape(sigma, X, Y)
     dx, dy, scale = common_rows(X, Y)
-    if len(sigma.pairs) == X.n * Y.n:
-        return Fraction(max(max(map(max, dx)), max(map(max, dy))), scale)
-    return Fraction(integer_distortion(dx, dy, sigma.sorted_pairs()), scale)
+    return Fraction(integer_distortion(dx, dy, tuple(sigma.pairs)), scale)
 
 
 def integer_distortion(dx, dy, pairs) -> int:
-    """Distortion of a pair list over rows of one common denominator, as
-    an integer over it; shared by distortion and the solver's incumbent."""
+    """Distortion of a sequence of distinct pairs over rows of one common
+    denominator, as an integer over it; shared by distortion and the
+    solver's candidate incumbents.
+
+    len(dx) * len(dy) distinct pairs are the full product, whose
+    distortion is the larger diameter, read off without the quadratic
+    pass: every term is at most it, and the pairs that share a point of
+    one side reach the other side's diameter.
+    """
+    if len(pairs) == len(dx) * len(dy):
+        return max(max(map(max, dx)), max(map(max, dy)))
     worst = 0
     for i, (a, b) in enumerate(pairs):
         da = dx[a]

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .correspondences import Correspondence, _check_shape
 from .exceptions import DomainError
-from .spaces import FiniteMetricSpace, IntegerView, as_fraction, common_rows
+from .spaces import FiniteMetricSpace, IntegerView, _fresh_labels, as_fraction, common_rows
 
 __all__ = [
     "InterpolatedSpace",
@@ -47,20 +47,6 @@ class InterpolatedSpace:
     pairs: tuple[tuple[int, int], ...]
     t: Fraction
     realized: FiniteMetricSpace
-
-
-def _unique_labels(raw: list[str]) -> list[str]:
-    seen: set[str] = set()
-    out = []
-    for lab in raw:
-        candidate = lab
-        k = 2
-        while candidate in seen:
-            candidate = f"{lab}_{k}"
-            k += 1
-        seen.add(candidate)
-        out.append(candidate)
-    return out
 
 
 def interpolate(
@@ -91,7 +77,7 @@ def interpolate(
         [s * dx[a][a2] + p * dy[b][b2] for (a2, b2) in pairs]
         for (a, b) in pairs
     ]
-    labels = _unique_labels([f"({X.labels[a]},{Y.labels[b]})" for a, b in pairs])
+    labels = _fresh_labels([f"({X.labels[a]},{Y.labels[b]})" for a, b in pairs])
     return InterpolatedSpace(
         pairs, tt, FiniteMetricSpace(labels, IntegerView(matrix, q * den))
     )

@@ -57,11 +57,13 @@ from .correspondences import (
     transpose,
 )
 from .exceptions import DomainError, HypothesisError, ToolkitError
+from .formats import frac_str
 from .geodesics import DEFAULT_GRID, InterpolatedSpace, endpoint_lifts, interpolate
 from .solver import SolverLimits, gh_exact
 from .spaces import (
     FiniteMetricSpace,
     IntegerView,
+    _fresh_labels,
     as_fraction,
     closed_ball,
     covering_number,
@@ -87,6 +89,10 @@ __all__ = [
     "NoncompactnessReport",
     "noncompactness_report",
 ]
+
+# the simplex sizes of a graft family, and the largest m of a report
+DEFAULT_MS = (2, 3, 4)
+DEFAULT_M_MAX = 5
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,7 @@ class RationalInterval:
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
         right = ")" if self.hi_open else "]"
-        return f"{left}{self.lo}, {self.hi}{right}"
+        return f"{left}{frac_str(self.lo)}, {frac_str(self.hi)}{right}"
 
 
 def segment_membership(
@@ -264,13 +270,6 @@ def admissible_mu(d_xz, d_zy, isolation=None) -> RationalInterval:
     return RationalInterval(Fraction(0), 2 * min(vals), lo_open=True, hi_open=True)
 
 
-def _fresh_label(base: str, taken) -> str:
-    candidate = base
-    while candidate in taken:
-        candidate += "'"
-    return candidate
-
-
 def _over_common_den(Z: FiniteMetricSpace, r: Fraction):
     """(den, Z's rows over den, r * den) for den the lcm of Z's and r's denominators."""
     den = math.lcm(Z.view.den, r.denominator)
@@ -295,7 +294,7 @@ def star_extension(Z: FiniteMetricSpace, params: StarParams) -> FiniteMetricSpac
     star_row = [radius if i in ball else v for i, v in enumerate(rows[params.z0])]
     matrix = [list(row) + [s] for row, s in zip(rows, star_row)]
     matrix.append(star_row + [0])
-    labels = list(Z.labels) + [_fresh_label(Z.labels[params.z0] + "*", Z.labels)]
+    labels = _fresh_labels(list(Z.labels) + [Z.labels[params.z0] + "*"])
     return FiniteMetricSpace(labels, IntegerView(matrix, den))
 
 
@@ -341,12 +340,8 @@ def simplex_graft(Z: FiniteMetricSpace, params: GraftParams) -> FiniteMetricSpac
     matrix = [[rows[i][j] for j in keep] + [c] * m for i, c in zip(keep, cross)]
     for v in range(m):
         matrix.append(cross + [side] * v + [0] + [side] * (m - 1 - v))
-    taken = [Z.labels[i] for i in keep]
     star = Z.labels[params.z_star]
-    labels = list(taken)
-    for v in range(m):
-        lab = _fresh_label(f"{star}#{v + 1}", labels)
-        labels.append(lab)
+    labels = _fresh_labels([Z.labels[i] for i in keep] + [f"{star}#{v + 1}" for v in range(m)])
     return FiniteMetricSpace(labels, IntegerView(matrix, den))
 
 
@@ -471,7 +466,7 @@ def build_segment_family(
     X: FiniteMetricSpace,
     Y: FiniteMetricSpace,
     Z: FiniteMetricSpace,
-    ms: Sequence[int] = (2, 3, 4),
+    ms: Sequence[int] = DEFAULT_MS,
     z_star: int | None = None,
     mu=None,
     limits: SolverLimits | None = None,
@@ -560,7 +555,7 @@ def noncompactness_report(
     X: FiniteMetricSpace,
     Y: FiniteMetricSpace,
     Z: FiniteMetricSpace,
-    m_max: int = 5,
+    m_max: int = DEFAULT_M_MAX,
     z_star: int | None = None,
     mu=None,
     limits: SolverLimits | None = None,

@@ -12,25 +12,25 @@ gh_lower_bound, the best upper bound found, the node count and the
 witness of that bound: the kernel's incumbent, re-checked like any
 other.
 
-When both sides have at least _DESCENT_MIN_SIDE points, the seed comes
-from _map_pair_descent, a deterministic local search over pairs of maps
-X -> Y and Y -> X, or from the caller's initial correspondence when that
-is no worse. The search prunes against its incumbent, and without a
-seed it finds its optimum late: on 43 benchmark pairs of 6-10 points
-the descent's seed cuts the nodes 2.8-fold. The kernel prices the seed
-itself, so the descent's own bookkeeping never reaches an answer.
+The search prunes against its incumbent, so where it starts matters.
+gh_exact lists the candidate starts: the caller's initial, then, when
+both sides have at least _DESCENT_MIN_SIDE points, the pairs of
+_map_pair_descent, a deterministic local search over pairs of maps
+X -> Y and Y -> X (it cuts the nodes 2.8-fold on 43 benchmark pairs of
+6-10 points). The kernel prices each once and starts from the cheapest,
+the first on ties, or from the full product when the list is empty.
 
-The kernel, _branch_and_bound, sees two lists of integer rows, a seed
-pair list (None for the full product) and a node budget (None for
-none). It returns the best distortion, its pairs, the node count and
-whether the budget ran out. It assigns each row, in decreasing
-eccentricity order, a non-empty subset of the columns, pruning any
-partial assignment whose distortion already ties the incumbent; the
-last row takes exactly the columns no earlier row covers, or, when all
-are covered, any single column. The search is one loop over an explicit
-stack of options: each entry tries one more column on top of a row's
-chosen set, and a node that survives its bounds puts the next row on
-offer. It calls nothing recursively, so it has no depth limit.
+The kernel, _branch_and_bound, sees two lists of integer rows, the
+candidate list and a node budget (None for none). It returns the best
+distortion, its pairs, the node count and whether the budget ran out. It
+assigns each row, in decreasing eccentricity order, a non-empty subset
+of the columns, pruning any partial assignment whose distortion already
+ties the incumbent; the last row takes exactly the columns no earlier
+row covers, or, when all are covered, any single column. The search is
+one loop over an explicit stack of options: each entry tries one more
+column on top of a row's chosen set, and a node that survives its bounds
+puts the next row on offer. It calls nothing recursively, so it has no
+depth limit.
 
 A node's bounds come from a mismatch table: for each open row and each
 column, the largest mismatch that pairing them would add to the chosen
@@ -93,11 +93,11 @@ def gh_exact(
 ) -> GhResult:
     """Exact d_GH(X, Y) with a witness correspondence.
 
-    An optional initial correspondence seeds the search's incumbent; it
-    never changes the returned distance, only the amount of search
-    needed to certify it. When both sides have at least
-    _DESCENT_MIN_SIDE points, the map-pair descent's correspondence is
-    the seed instead whenever its distortion is lower than initial's.
+    An optional initial correspondence is a candidate start for the
+    search, ahead of the map-pair descent's when both sides have at least
+    _DESCENT_MIN_SIDE points; the kernel starts from the cheaper, initial
+    on a tie. It never changes the returned distance, only the amount of
+    search needed to certify it.
     """
     limits = limits or SolverLimits()
     if initial is not None:
@@ -107,12 +107,10 @@ def gh_exact(
     flip = Y.n > X.n
     if flip:
         dx, dy = dy, dx
-    seed = None if initial is None else [(b, a) if flip else (a, b) for a, b in initial.pairs]
+    seeds = [] if initial is None else [[(b, a) if flip else (a, b) for a, b in initial.pairs]]
     if min(X.n, Y.n) >= _DESCENT_MIN_SIDE:
-        found, pairs = _map_pair_descent(dx, dy)
-        if seed is None or found < integer_distortion(dx, dy, seed):
-            seed = pairs
-    val, pairs, nodes, spent = _branch_and_bound(dx, dy, seed, limits.node_budget)
+        seeds.append(_map_pair_descent(dx, dy))
+    val, pairs, nodes, spent = _branch_and_bound(dx, dy, seeds, limits.node_budget)
     if flip:
         pairs = [(b, a) for a, b in pairs]
     distance = Fraction(val, 2 * scale)
@@ -149,7 +147,7 @@ _DESCENT_MOVES = 500
 
 
 def _map_pair_descent(dA, dB):
-    """(distortion, pairs) of a correspondence found by local search over map pairs.
+    """The pairs of a correspondence found by local search over map pairs.
 
     2 d_GH = min over maps phi: A -> B and psi: B -> A of
     max(dis phi, dis psi, codis(phi, psi)) (Kalton & Ostrovskii 1999),
@@ -161,7 +159,8 @@ def _map_pair_descent(dA, dB):
     candidate prices only the moved item's na + nb terms; an accepted
     move writes them into the table of all terms, which is scanned for
     the next worst only when the last worst term goes. No restarts and
-    no randomness: the result is a function of the rows.
+    no randomness: the result is a function of the rows. Only the pairs
+    are returned; the kernel prices them like any other candidate.
     """
     na, nb = len(dA), len(dB)
     ecc_a = [max(row) for row in dA]
@@ -220,7 +219,7 @@ def _map_pair_descent(dA, dB):
                 continue
         i = (i + 1) % n
         idle += 1
-    return worst, sorted(set(zip(xs, ys)))
+    return sorted(set(zip(xs, ys)))
 
 
 # ---------------------------------------------------------- branch and bound
@@ -258,18 +257,18 @@ def _swap_classes(d) -> list[int]:
     return cls
 
 
-def _branch_and_bound(dA, dB, seed, budget):
+def _branch_and_bound(dA, dB, seeds, budget):
     """(best value, its pairs, node count, budget spent) over integer rows;
-    with no seed the incumbent is the full product, at the larger diameter."""
+    the first incumbent is the candidate in seeds of lowest
+    integer_distortion, the first on ties, or the full product if none."""
     na, nb = len(dA), len(dB)
     last = na - 1
     full_cols = (1 << nb) - 1
-    if seed is None:
-        best_val = max(max(map(max, dA)), max(map(max, dB)))
-        best_pairs = [(a, b) for a in range(na) for b in range(nb)]
-    else:
-        best_val = integer_distortion(dA, dB, seed)
-        best_pairs = seed
+    best_pairs = None
+    for pairs in seeds or [[(a, b) for a in range(na) for b in range(nb)]]:
+        val = integer_distortion(dA, dB, pairs)
+        if best_pairs is None or val < best_val:
+            best_val, best_pairs = val, pairs
 
     ecc = [max(row) for row in dA]
     cls = _swap_classes(dA)

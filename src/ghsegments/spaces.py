@@ -275,6 +275,18 @@ def _checked_labels(labels, n: int) -> tuple[str, ...]:
     return labels
 
 
+def _fresh_labels(raw) -> list[str]:
+    """raw with each repeat primed until it differs from every label before it."""
+    seen: set[str] = set()
+    out = []
+    for label in raw:
+        while label in seen:
+            label += "'"
+        seen.add(label)
+        out.append(label)
+    return out
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """A finite metric space: unique labels plus its integer view.

@@ -476,6 +476,17 @@ class TestCliBasics:
         if code == 5:
             assert "best bounds so far" in err
 
+    def test_family_window_past_digit_limit(self, capsys, tmp_path: Path) -> None:
+        # the ends of the admissible graft window have denominators past
+        # the int digit limit; family fails as report does, with exit 3
+        for name, entry in (("x", f"1/{3**6000}"), ("y", "1"), ("z", f"1/{2**9000}")):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"dist": [[0, entry], [entry, 0]]}))
+        paths = [str(tmp_path / f"{name}.json") for name in "xyz"]
+        for cmd in ("family", "report"):
+            got, out, err = run(capsys, cmd, *paths, "--mu", f"1/{2**9001}")
+            assert (got, out) == (3, "")
+            assert f"{sys.get_int_max_str_digits()} digits" in err
+
     @pytest.mark.parametrize(
         "argv, code",
         [

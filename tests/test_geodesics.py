@@ -9,6 +9,7 @@ from ghsegments import (
     DEFAULT_GRID,
     Correspondence,
     DomainError,
+    FiniteMetricSpace,
     distortion,
     endpoint_lifts,
     full_product,
@@ -61,6 +62,14 @@ class TestInterpolate:
         Y = simplex(2, Fraction(2))
         mid = interpolate(X, Y, identity_correspondence(2), Fraction(1, 2))
         assert mid.realized.labels == ("(p0,p0)", "(p1,p1)")
+
+    def test_colliding_interior_labels_are_primed(self) -> None:
+        # the pairs (a,b | c) and (a | b,c) both spell (a,b,c); the repeat
+        # is primed, as star and graft labels are
+        X = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]], ["a,b", "a"])
+        Y = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]], ["c", "b,c"])
+        mid = interpolate(X, Y, identity_correspondence(2), Fraction(1, 2))
+        assert mid.realized.labels == ("(a,b,c)", "(a,b,c)'")
 
     def test_point_to_pair_midpoint(self) -> None:
         # interpolating a point against a 1-simplex halves the gap

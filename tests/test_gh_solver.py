@@ -74,7 +74,7 @@ class TestClosedForms:
 
 
 class TestOracleEquivalence:
-    def test_both_methods_match_subset_enumeration_oracle(self) -> None:
+    def test_matches_subset_enumeration_oracle(self) -> None:
         rng = random.Random(2025)
         for _ in range(40):
             nx = rng.randint(1, 3)
@@ -147,7 +147,7 @@ class TestDispatchAndDeterminism:
             assert r1.distance == r2.distance
             assert r1.optimal.pairs == r2.optimal.pairs
 
-    def test_methods_agree_under_argument_swap(self) -> None:
+    def test_agrees_under_argument_swap(self) -> None:
         rng = random.Random(17)
         for _ in range(20):
             X, Y = random_space(rng, rng.randint(1, 4)), random_space(rng, rng.randint(1, 4))
@@ -171,15 +171,23 @@ class TestSeeding:
         with pytest.raises(Exception):
             gh_exact(X, Y, initial=bad)
 
-    def test_distortion_is_taken_of_an_initial_only(self, monkeypatch) -> None:
-        # without an initial the incumbent is the full product, whose
-        # distortion is the larger diameter, so no pair list is priced
+    def test_distortion_is_taken_of_an_initial_only(self) -> None:
+        # the full product's distortion is the larger diameter, read off
+        # its length: a full-length sequence that fails when read or sliced
+        # is priced all the same, so no pass over its pairs happens
         X, Y = random_metric_space(5, seed=1), random_metric_space(4, seed=2)
-        calls = count_calls(monkeypatch, solver, "integer_distortion")
+        dx, dy, scale = common_rows(X, Y)
+
+        class Unread:
+            def __len__(self):
+                return X.n * Y.n
+
+            def __getitem__(self, index):
+                raise AssertionError("the full product's pairs were read")
+
+        assert Fraction(integer_distortion(dx, dy, Unread()), scale) == max(diameter(X), diameter(Y))
         want = gh_exact(X, Y)
-        assert calls["integer_distortion"] == 0
         got = gh_exact(X, Y, initial=full_product(X.n, Y.n))
-        assert calls["integer_distortion"] == 1
         assert (got.distance, got.nodes_explored) == (want.distance, want.nodes_explored)
 
 
@@ -194,13 +202,13 @@ class TestMapPairDescent:
             cases.append((random_space(rng, rng.randint(1, 9)), random_space(rng, rng.randint(1, 9))))
         for X, Y in cases:
             dA, dB, scale = common_rows(X, Y)
-            val, pairs = solver._map_pair_descent(dA, dB)
+            pairs = solver._map_pair_descent(dA, dB)
             assert {a for a, _ in pairs} == set(range(X.n))
             assert {b for _, b in pairs} == set(range(Y.n))
-            assert val == integer_distortion(dA, dB, pairs)
+            val = integer_distortion(dA, dB, pairs)
             assert oracle_distortion(rows(X), rows(Y), pairs) == Fraction(val, scale)
             again = solver._map_pair_descent([r[:] for r in dA], [r[:] for r in dB])
-            assert again == (val, pairs)
+            assert again == pairs
 
     def test_seeded_solves_match_the_unseeded_kernel(self) -> None:
         # the seed only prunes: each pair keeps the unseeded kernel's
@@ -231,28 +239,30 @@ class TestMapPairDescent:
         gh_exact(random_metric_space(6, seed=6), random_metric_space(6, seed=56))
         assert calls["_map_pair_descent"] == 1
 
-    def test_a_better_initial_is_the_seed(self, monkeypatch) -> None:
-        # the descent stops above the optimum on this pair, so the optimum
-        # given as initial is the seed, and the search keeps it
+    def test_a_better_initial_is_the_seed(self) -> None:
+        # with no node to spend, a stop's witness is the incumbent the
+        # kernel started from. The descent stops above the optimum on this
+        # pair, so the optimum given as initial is that start
         X, Y = random_metric_space(8, seed=316), random_metric_space(8, seed=416)
         dA, dB, scale = common_rows(X, Y)
-        found, descended = solver._map_pair_descent(dA, dB)
+        descended = solver._map_pair_descent(dA, dB)
         opt = gh_exact(X, Y)
-        assert 2 * opt.distance < Fraction(found, scale)
-        seeds = []
-        kernel = solver._branch_and_bound
+        assert 2 * opt.distance < Fraction(integer_distortion(dA, dB, descended), scale)
 
-        def spy(dA, dB, seed, budget):
-            seeds.append(seed)
-            return kernel(dA, dB, seed, budget)
+        def start(X, Y, initial):
+            with pytest.raises(ResourceLimitError) as exc:
+                gh_exact(X, Y, SolverLimits(node_budget=0), initial)
+            return exc.value.witness
 
-        monkeypatch.setattr(solver, "_branch_and_bound", spy)
-        got = gh_exact(X, Y, initial=opt.optimal)
-        assert set(seeds[0]) == opt.optimal.pairs
-        assert (got.distance, got.optimal) == (opt.distance, opt.optimal)
+        assert start(X, Y, opt.optimal) == opt.optimal
+        assert gh_exact(X, Y, initial=opt.optimal).optimal == opt.optimal
         # a worse initial gives way to the descent's correspondence
-        gh_exact(X, Y, initial=full_product(X.n, Y.n))
-        assert seeds[1] == descended
+        assert start(X, Y, full_product(X.n, Y.n)).pairs == set(descended)
+        # every correspondence of simplex(6) and simplex(7) has distortion
+        # 1, so the full product as initial ties the descent and wins
+        S6, S7 = simplex(6, 1), simplex(7, 1)
+        assert gh_exact(S6, S7, initial=full_product(6, 7)).optimal == full_product(6, 7)
+        assert gh_exact(S6, S7).optimal != full_product(6, 7)
 
 
 class TestDeepInputs:
@@ -280,7 +290,7 @@ class TestResourceLimits:
                 gh_exact(X, Y, limits=SolverLimits(node_budget=3))
             assert exc.value.nodes <= 3
 
-    def test_bnb_side_cap(self) -> None:
+    def test_no_side_is_too_large_to_search(self) -> None:
         # no side is too large to search: an 11-point space against 2 and
         # 3 points answers under the default budget, inside the bounds
         # gh_lower_bound <= d <= max(diam X, diam Y)/2 of the full product
