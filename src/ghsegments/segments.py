@@ -265,7 +265,7 @@ def admissible_mu(d_xz, d_zy, isolation=None) -> RationalInterval:
     if min(vals) <= 0:
         raise HypothesisError(
             "graft window needs positive distances and isolation, got "
-            + ", ".join(str(v) for v in vals)
+            + ", ".join(frac_str(v) for v in vals)
         )
     return RationalInterval(Fraction(0), 2 * min(vals), lo_open=True, hi_open=True)
 
@@ -502,8 +502,8 @@ def build_segment_family(
     base = segment_membership(X, Y, Z, limits=limits)
     if not base.member:
         raise HypothesisError(
-            f"Z is not in the segment: gap {base.gap} (d_XZ={base.d_xz}, "
-            f"d_ZY={base.d_zy}, d_XY={base.d_xy})"
+            f"Z is not in the segment: gap {frac_str(base.gap)} (d_XZ={frac_str(base.d_xz)}, "
+            f"d_ZY={frac_str(base.d_zy)}, d_XY={frac_str(base.d_xy)})"
         )
     if base.d_xz == 0 or base.d_zy == 0:
         raise HypothesisError(
@@ -520,7 +520,7 @@ def build_segment_family(
         mu = as_fraction(mu)
         if not window.contains(mu):
             raise HypothesisError(
-                f"graft radius {mu} outside the admissible window {window}"
+                f"graft radius {frac_str(mu)} outside the admissible window {window}"
             )
     eps = mu / 4
     graft = _Graft(Z, zs, mu, base)

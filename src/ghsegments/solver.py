@@ -5,46 +5,51 @@
 gh_exact is the only step of a solve that sees spaces. It checks the
 seed's shape, puts both spaces on integer rows over one common
 denominator, orients the solve so rows range over the larger side,
-seeds the kernel, runs it, maps its pairs back, re-checks the witness
-by distortion and refuses a spent node budget. The node budget is the
-one limit on the search, whatever the sides; a stop carries
-gh_lower_bound, the best upper bound found, the node count and the
-witness of that bound: the kernel's incumbent, re-checked like any
-other.
+seeds a search, runs it, maps its pairs back, re-checks the witness by
+distortion and refuses a spent node budget. The node budget is the one
+limit on the search, whatever the sides; a stop carries gh_lower_bound,
+the best upper bound found, the node count and the witness of that
+bound: the search's incumbent, re-checked like any other.
 
-The search prunes against its incumbent, so where it starts matters.
-gh_exact lists the candidate starts: the caller's initial, then, when
-both sides have at least _DESCENT_MIN_SIDE points, the pairs of
-_map_pair_descent, a deterministic local search over pairs of maps
-X -> Y and Y -> X (it cuts the nodes 2.8-fold on 43 benchmark pairs of
-6-10 points). The kernel prices each once and starts from the cheapest,
-the first on ties, or from the full product when the list is empty.
+Two searches share one seam: each sees two lists of integer rows, the
+candidate starts and a node budget (None for none), prices the
+candidates with _start and returns the best distortion, its pairs, the
+node count and whether the budget ran out. One gate picks the search:
+when both sides have at least _DESCENT_MIN_SIDE points, gh_exact adds
+the pairs of _map_pair_descent to the caller's initial as candidates (a
+deterministic local search over pairs of maps X -> Y and Y -> X, which
+usually finds the optimum) and runs _threshold_search; below the gate it
+runs _branch_and_bound, which is about twice as fast there. Both call
+nothing recursively, so neither has a depth limit, and their node
+counts count different things.
 
-The kernel, _branch_and_bound, sees two lists of integer rows, the
-candidate list and a node budget (None for none). It returns the best
-distortion, its pairs, the node count and whether the budget ran out. It
-assigns each row, in decreasing eccentricity order, a non-empty subset
-of the columns, pruning any partial assignment whose distortion already
-ties the incumbent; the last row takes exactly the columns no earlier
-row covers, or, when all are covered, any single column. The search is
-one loop over an explicit stack of options: each entry tries one more
-column on top of a row's chosen set, and a node that survives its bounds
-puts the next row on offer. It calls nothing recursively, so it has no
-depth limit.
+_threshold_search proves the incumbent optimal by rounds of a decision:
+a correspondence of distortion at most delta is a clique of cells whose
+pairwise terms are at most delta. It returns at once when the incumbent
+meets _root_bound, gh_lower_bound's integer form, and it excludes the
+cells a refuted cell's swap-class twins would repeat.
 
-A node's bounds come from a mismatch table: for each open row and each
-column, the largest mismatch that pairing them would add to the chosen
-pairs. A node closes when some uncovered column is at or above the
-incumbent in every open row, or some open row is in every column. The
-column test runs first and reads only the cells of the uncovered
-columns, so the nodes it closes (about three in four on random 7x7 and
-8x8 pairs) never build the table; the others fold their new pairs into
-it, test its rows, and offer the next row its columns in increasing
-mismatch order.
+_branch_and_bound, the reference kernel, assigns each row, in
+decreasing eccentricity order, a non-empty subset of the columns,
+pruning any partial assignment whose distortion already ties the
+incumbent; the last row takes exactly the columns no earlier row
+covers, or, when all are covered, any single column. It is one loop
+over an explicit stack of options: each entry tries one more column on
+top of a row's chosen set, and a node that survives its bounds puts the
+next row on offer. A node's bounds come from a mismatch table: for each
+open row and each column, the largest mismatch that pairing them would
+add to the chosen pairs. A node closes when some uncovered column is at
+or above the incumbent in every open row, or some open row is in every
+column. The column test runs first and reads only the cells of the
+uncovered columns, so the nodes it closes (about three in four on
+random 7x7 and 8x8 pairs) never build the table; the others fold their
+new pairs into it, test its rows, and offer the next row its columns in
+increasing mismatch order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,17 +77,28 @@ class GhResult:
 def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> Fraction:
     """Cheap certified lower bound for d_GH(X, Y).
 
-    Maximum of the diameter gap and the two one-sided eccentricity
-    bounds: any correspondence matches each point with one whose
-    eccentricity differs by at most dis R.
+    Maximum of the diameter gap, the two one-sided eccentricity bounds
+    (any correspondence matches each point with one whose eccentricity
+    differs by at most dis R) and, when the sides differ in size, half
+    the least nonzero distance of the larger side (a correspondence
+    relates two of its points to one point).
     """
     dx, dy, scale = common_rows(X, Y)
-    ecc_x = [max(row) for row in dx]
-    ecc_y = [max(row) for row in dy]
-    gap = abs(max(ecc_x) - max(ecc_y))
-    side_x = max(min(abs(a - b) for b in ecc_y) for a in ecc_x)
-    side_y = max(min(abs(a - b) for a in ecc_x) for b in ecc_y)
-    return Fraction(max(gap, side_x, side_y), 2 * scale)
+    return Fraction(_root_bound(dx, dy), 2 * scale)
+
+
+def _root_bound(dA, dB) -> int:
+    """gh_lower_bound over integer rows, as a bound on dis R."""
+    ecc_a = [max(row) for row in dA]
+    ecc_b = [max(row) for row in dB]
+    gap = abs(max(ecc_a) - max(ecc_b))
+    side_a = max(min(abs(a - b) for b in ecc_b) for a in ecc_a)
+    side_b = max(min(abs(a - b) for a in ecc_a) for b in ecc_b)
+    # pigeonhole: a correspondence relates two points of the larger side
+    # to one point of the other, so dis R is at least their distance
+    big = max(dA, dB, key=len)
+    card = min(v for row in big for v in row if v) if len(dA) != len(dB) else 0
+    return max(gap, side_a, side_b, card)
 
 
 def gh_exact(
@@ -93,11 +109,12 @@ def gh_exact(
 ) -> GhResult:
     """Exact d_GH(X, Y) with a witness correspondence.
 
-    An optional initial correspondence is a candidate start for the
-    search, ahead of the map-pair descent's when both sides have at least
-    _DESCENT_MIN_SIDE points; the kernel starts from the cheaper, initial
-    on a tie. It never changes the returned distance, only the amount of
-    search needed to certify it.
+    When both sides have at least _DESCENT_MIN_SIDE points, the map-pair
+    descent adds a candidate start and the threshold search runs;
+    otherwise _branch_and_bound does. An optional initial correspondence
+    is a candidate start ahead of the descent's; the search starts from
+    the cheaper, initial on a tie. It never changes the returned
+    distance, only the amount of search needed to certify it.
     """
     limits = limits or SolverLimits()
     if initial is not None:
@@ -108,9 +125,11 @@ def gh_exact(
     if flip:
         dx, dy = dy, dx
     seeds = [] if initial is None else [[(b, a) if flip else (a, b) for a, b in initial.pairs]]
+    search = _branch_and_bound
     if min(X.n, Y.n) >= _DESCENT_MIN_SIDE:
         seeds.append(_map_pair_descent(dx, dy))
-    val, pairs, nodes, spent = _branch_and_bound(dx, dy, seeds, limits.node_budget)
+        search = _threshold_search
+    val, pairs, nodes, spent = search(dx, dy, seeds, limits.node_budget)
     if flip:
         pairs = [(b, a) for a, b in pairs]
     distance = Fraction(val, 2 * scale)
@@ -129,14 +148,15 @@ def gh_exact(
 
 # ------------------------------------------------------------------ descent
 
-# Both sides need this many points before gh_exact runs the descent.
-# Below it the descent costs about as much as the whole search and
-# saves none of it: over 40 random pairs per size (2-core VM, Python
-# 3.11), the unseeded search takes 0.12 ms at the median at 4x4 and
-# 0.24 ms at 5x5, the descent alone 0.11 and 0.19 ms, and the mean 5x5
-# solve goes from 0.65 to 0.69 ms with it. From 6x6 on the mean falls:
-# 26 to 24 ms at 6x6, 42 to 26 ms at 7x7, 47 to 32 ms at 8x8, while the
-# descent costs 0.3-0.5 ms.
+# Both sides need this many points before gh_exact runs the descent and
+# the threshold search. Below it the descent costs about as much as the
+# whole search and saves none of it: over 40 random pairs per size
+# (2-core VM, Python 3.11), the unseeded _branch_and_bound takes 0.12 ms
+# at the median at 4x4 and 0.24 ms at 5x5, the descent alone 0.11 and
+# 0.19 ms. The threshold search is slower there too, at the median of 30
+# unseeded pairs 69 -> 115 us at 3x3, 168 -> 271 us at 4x4 and 331 -> 544
+# us at 5x5; from 6x6 on, seeded, it wins: 466 -> 410 us at the median
+# and 16 -> 0.42 ms in the mean at 6x6.
 _DESCENT_MIN_SIDE = 6
 # Accepted moves before the descent stops. Random pairs accept 7-91
 # moves up to 60x60, and 154-189 at 120x120 in 0.4-1.0 s, so the cap
@@ -160,7 +180,7 @@ def _map_pair_descent(dA, dB):
     move writes them into the table of all terms, which is scanned for
     the next worst only when the last worst term goes. No restarts and
     no randomness: the result is a function of the rows. Only the pairs
-    are returned; the kernel prices them like any other candidate.
+    are returned; _start prices them like any other candidate.
     """
     na, nb = len(dA), len(dB)
     ecc_a = [max(row) for row in dA]
@@ -257,18 +277,24 @@ def _swap_classes(d) -> list[int]:
     return cls
 
 
-def _branch_and_bound(dA, dB, seeds, budget):
-    """(best value, its pairs, node count, budget spent) over integer rows;
-    the first incumbent is the candidate in seeds of lowest
-    integer_distortion, the first on ties, or the full product if none."""
-    na, nb = len(dA), len(dB)
-    last = na - 1
-    full_cols = (1 << nb) - 1
+def _start(dA, dB, seeds):
+    """(value, pairs) of the candidate in seeds of lowest integer_distortion,
+    the first on ties, or of the full product if there is none."""
     best_pairs = None
-    for pairs in seeds or [[(a, b) for a in range(na) for b in range(nb)]]:
+    for pairs in seeds or [[(a, b) for a in range(len(dA)) for b in range(len(dB))]]:
         val = integer_distortion(dA, dB, pairs)
         if best_pairs is None or val < best_val:
             best_val, best_pairs = val, pairs
+    return best_val, best_pairs
+
+
+def _branch_and_bound(dA, dB, seeds, budget):
+    """(best value, its pairs, node count, budget spent) over integer rows,
+    starting from _start's incumbent."""
+    na, nb = len(dA), len(dB)
+    last = na - 1
+    full_cols = (1 << nb) - 1
+    best_val, best_pairs = _start(dA, dB, seeds)
 
     ecc = [max(row) for row in dA]
     cls = _swap_classes(dA)
@@ -387,4 +413,118 @@ def _branch_and_bound(dA, dB, seeds, budget):
             options = [[b] for b in range(nb)]
         prev = mask if cls[pos + 1] == cls[pos] else 0
         stack.append(((pos + 1, covered, M2, path, prev, options), 0, v, [], 0))
+    return best_val, best_pairs, nodes, False
+
+
+# --------------------------------------------------------- threshold search
+
+
+def _threshold_search(dA, dB, seeds, budget):
+    """(best value, its pairs, node count, budget spent) over integer rows,
+    starting from _start's incumbent, by rounds of a decision: is there a
+    correspondence of distortion at most delta = incumbent - 1?
+
+    dis R <= delta exactly when every two cells of R are delta-compatible
+    (Memoli 2007), so a round looks for a clique of compatible cells that
+    covers every line, row or column. Cell (a, b) is bit a * nb + b, and
+    comp[c] is the mask of the cells compatible with c, built when the
+    round first picks c. A node holds the cells compatible with all it
+    chose and branches on the open line with the fewest of them; a child
+    takes one and excludes the siblings tried before it, and a node dies
+    when some open line has none left. A clique covering every line is
+    the next incumbent; the rounds end when one refutes delta or the
+    incumbent reaches _root_bound.
+    """
+    na, nb = len(dA), len(dB)
+    best_val, best_pairs = _start(dA, dB, seeds)
+    low = _root_bound(dA, dB)
+    nodes = 0
+    # lines 0..na-1 are the rows, na..na+nb-1 the columns
+    lines = [((1 << nb) - 1) << (a * nb) for a in range(na)]
+    lines += [sum(1 << (a * nb + b) for a in range(na)) for b in range(nb)]
+    shift = [a * nb for a in range(na)] + list(range(nb))
+    # the lines of each line's swap class, rows of dA or columns of dB
+    cls = [(0, c) for c in _swap_classes(dA)] + [(1, c) for c in _swap_classes(dB)]
+    classes = {}
+    for ln, c in enumerate(cls):
+        classes.setdefault(c, []).append(ln)
+    mates = [classes[c] for c in cls]
+    # each row of dB sorted, with prefix masks of its columns in that order,
+    # so the columns within delta of a value are two bisections away
+    sort_b = [sorted(range(nb), key=row.__getitem__) for row in dB]
+    vals_b = [[row[k] for k in order] for row, order in zip(dB, sort_b)]
+    prefix_b = []
+    for order in sort_b:
+        masks = [0]
+        for k in order:
+            masks.append(masks[-1] | 1 << k)
+        prefix_b.append(masks)
+    all_cells, all_lines = (1 << na * nb) - 1, (1 << na + nb) - 1
+    while best_val > low:
+        delta = best_val - 1
+        comp = [None] * (na * nb)
+        # an entry (cand, open, path, cells, twins, i) takes cells[i] on top
+        # of the cells in path; the root entry takes nothing
+        stack = [(all_cells, all_lines, None, None, None, 0)]
+        while stack:
+            cand, open_, path, cells, twins, i = stack.pop()
+            if cells is not None:
+                if i + 1 < len(cells):
+                    stack.append((cand & ~twins[i], open_, path, cells, twins, i + 1))
+                c = cells[i]
+                a, b = divmod(c, nb)
+                mask = comp[c]
+                if mask is None:
+                    da, vb, pb = dA[a], vals_b[b], prefix_b[b]
+                    mask = 0
+                    for a2 in range(na):
+                        lo = bisect_left(vb, da[a2] - delta)
+                        hi = bisect_right(vb, da[a2] + delta, lo)
+                        mask |= (pb[hi] ^ pb[lo]) << (a2 * nb)
+                    comp[c] = mask
+                cand &= mask
+                open_ &= ~(1 << a | 1 << (na + b))
+                path = (c, path)
+            if budget is not None and nodes >= budget:
+                return best_val, best_pairs, nodes, True
+            nodes += 1
+            if not open_:
+                pairs = []
+                while path:
+                    c, path = path
+                    pairs.append(divmod(c, nb))
+                best_val, best_pairs = integer_distortion(dA, dB, pairs), pairs
+                break
+            line, fewest = None, na * nb + 1
+            rest = open_
+            while rest:
+                low_bit = rest & -rest
+                ln = low_bit.bit_length() - 1
+                k = (cand & lines[ln]).bit_count()
+                if k < fewest:
+                    line, fewest = ln, k
+                    if not k:
+                        break
+                rest ^= low_bit
+            if not fewest:
+                continue
+            # an open line of the same swap class with the same candidates
+            # is the branching line's image under a transposition that fixes
+            # this node, so a cell refuted here is refuted there too
+            own = (cand & lines[line]) >> shift[line]
+            images = [
+                shift[ln] - shift[line]
+                for ln in mates[line]
+                if ln != line and open_ >> ln & 1 and (cand & lines[ln]) >> shift[ln] == own
+            ]
+            cells, twins = [], []
+            while own:
+                low_bit = own & -own
+                c = shift[line] + low_bit.bit_length() - 1
+                cells.append(c)
+                twins.append(sum(1 << (c + d) for d in images) | 1 << c)
+                own ^= low_bit
+            stack.append((cand, open_, path, cells, twins, 0))
+        else:
+            break  # the round refuted delta: the incumbent is optimal
     return best_val, best_pairs, nodes, False

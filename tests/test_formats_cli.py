@@ -487,6 +487,17 @@ class TestCliBasics:
             assert (got, out) == (3, "")
             assert f"{sys.get_int_max_str_digits()} digits" in err
 
+    def test_nonmember_gap_past_digit_limit(self, capsys, tmp_path: Path) -> None:
+        # Z is not in the segment, and the message that says so holds
+        # distances past the int digit limit
+        for name, entry in (("x", f"1/{3**6000}"), ("y", f"1/{2**9000}"), ("z", "1")):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"dist": [[0, entry], [entry, 0]]}))
+        paths = [str(tmp_path / f"{name}.json") for name in "xyz"]
+        for cmd in ("family", "report"):
+            got, out, err = run(capsys, cmd, *paths)
+            assert (got, out) == (3, "")
+            assert f"{sys.get_int_max_str_digits()} digits" in err
+
     @pytest.mark.parametrize(
         "argv, code",
         [

@@ -210,27 +210,6 @@ class TestMapPairDescent:
             again = solver._map_pair_descent([r[:] for r in dA], [r[:] for r in dB])
             assert again == pairs
 
-    def test_seeded_solves_match_the_unseeded_kernel(self) -> None:
-        # the seed only prunes: each pair keeps the unseeded kernel's
-        # distance and takes no more nodes. A pair the unseeded kernel
-        # cannot finish within the budget below is not compared
-        rng = random.Random(3110)
-        compared = drawn = 0
-        while compared < 100 and drawn < 160:
-            drawn += 1
-            X, Y = random_space(rng, rng.randint(6, 9)), random_space(rng, rng.randint(6, 9))
-            dA, dB, scale = common_rows(X, Y)
-            if Y.n > X.n:  # gh_exact's orientation, so both run one search
-                dA, dB = dB, dA
-            val, _, nodes, spent = solver._branch_and_bound(dA, dB, None, 5000)
-            if spent:
-                continue
-            res = gh_exact(X, Y)
-            assert res.distance == Fraction(val, 2 * scale)
-            assert res.nodes_explored <= nodes
-            compared += 1
-        assert compared == 100
-
     def test_descent_runs_only_at_the_gate(self, monkeypatch) -> None:
         calls = count_calls(monkeypatch, solver, "_map_pair_descent")
         for nx, ny in ((5, 5), (5, 9), (9, 5), (3, 12), (1, 8)):
@@ -263,6 +242,75 @@ class TestMapPairDescent:
         S6, S7 = simplex(6, 1), simplex(7, 1)
         assert gh_exact(S6, S7, initial=full_product(6, 7)).optimal == full_product(6, 7)
         assert gh_exact(S6, S7).optimal != full_product(6, 7)
+
+
+class TestThresholdSearch:
+    """The clique search gh_exact runs on pairs of at least
+    _DESCENT_MIN_SIDE points on each side; _branch_and_bound, which runs
+    below that gate, is its reference."""
+
+    def test_matches_the_reference_kernel(self) -> None:
+        # seeded 6-9-point pairs, every fifth a graft blow-up with many
+        # swappable points; where the reference spends its budget, the
+        # answer must lie at or below the reference's upper bound
+        rng = random.Random(3410)
+        stops = 0
+        for i in range(200):
+            if i % 5 == 4:
+                Z = random_space(rng, rng.randint(3, 5))
+                z = _pick_z_star(Z)
+                m = rng.randint(7 - Z.n, 10 - Z.n)
+                X = simplex_graft(Z, GraftParams(z, isolation_radius(Z, z), m))
+            else:
+                X = random_space(rng, rng.randint(6, 9))
+            Y = random_space(rng, rng.randint(6, 9))
+            dA, dB, scale = common_rows(X, Y)
+            if Y.n > X.n:  # gh_exact's orientation
+                dA, dB = dB, dA
+            seeds = [solver._map_pair_descent(dA, dB)]
+            val, _, _, spent = solver._branch_and_bound(dA, dB, seeds, 20_000)
+            res = gh_exact(X, Y)
+            want = Fraction(val, 2 * scale)
+            assert res.distance <= want if spent else res.distance == want
+            stops += spent
+            pairs = res.optimal.sorted_pairs()
+            assert oracle_distortion(rows(X), rows(Y), pairs) == 2 * res.distance
+        assert stops == 30  # the reference answers the other 170
+
+    def test_twin_rule(self, monkeypatch) -> None:
+        # twelve swappable graft points: a cell refuted on one of them is
+        # refuted on each twin with the same candidates, and without that
+        # exclusion the search spends the default budget
+        Z = random_metric_space(6, seed=40)
+        W = simplex_graft(Z, GraftParams(0, isolation_radius(Z, 0), 12))
+        Y = random_metric_space(7, seed=91)
+        res = gh_exact(W, Y)
+        assert (res.distance, res.nodes_explored) == (Fraction(7, 6), 1271)
+        assert oracle_distortion(rows(W), rows(Y), res.optimal.sorted_pairs()) == Fraction(7, 3)
+        # without the root bound, simplex(10) against simplex(9) is all twins
+        S10, S9 = simplex(10, 1), simplex(9, 1)
+        monkeypatch.setattr(solver, "_root_bound", lambda dA, dB: 0)
+        res = gh_exact(S10, S9)
+        assert (res.distance, res.nodes_explored) == (Fraction(1, 2), 46)
+        monkeypatch.undo()
+        monkeypatch.setattr(solver, "_swap_classes", lambda d: list(range(len(d))))
+        with pytest.raises(ResourceLimitError) as exc:
+            gh_exact(W, Y)
+        assert exc.value.nodes == 100_000
+
+    def test_root_bound_answers_without_a_node(self) -> None:
+        # pigeonhole: simplex(n + 1) sends two points to one of simplex(n),
+        # so every correspondence's distortion 1 meets the bound
+        for n in range(6, 13):
+            X, Y = simplex(n, 1), simplex(n + 1, 1)
+            assert gh_lower_bound(X, Y) == Fraction(1, 2)
+            res = gh_exact(X, Y)
+            assert (res.distance, res.nodes_explored) == (Fraction(1, 2), 0)
+        # the descent reaches the eccentricity bound on this probe pair
+        X, Y = random_metric_space(9, seed=101), random_metric_space(9, seed=201)
+        res = gh_exact(X, Y)
+        assert (res.distance, res.nodes_explored) == (Fraction(67, 24), 0)
+        assert oracle_distortion(rows(X), rows(Y), res.optimal.sorted_pairs()) == Fraction(67, 12)
 
 
 class TestDeepInputs:
@@ -329,14 +377,14 @@ class TestPinnedSearch:
     or prunes shows up here, and belongs in CHANGES.md."""
 
     DISTANCES_AND_NODES = [
-        ("1/2", 3), ("1/2", 7), ("1/2", 15), ("1/2", 31), ("1/2", 63), ("1/2", 127),
-        ("1/2", 255), ("1/2", 511), ("1/6", 3), ("1/6", 3), ("29/24", 77), ("29/24", 77),
-        ("7/2", 20), ("7/2", 20), ("11/8", 110), ("11/8", 185), ("35/8", 53), ("35/8", 53),
-        ("11/12", 452), ("11/12", 452), ("7/6", 29), ("7/6", 738), ("13/6", 3),
-        ("13/6", 4), ("13/12", 181), ("13/12", 17), ("5/6", 36), ("5/6", 37), ("11/2", 5),
+        ("1/2", 3), ("1/2", 7), ("1/2", 15), ("1/2", 31), ("1/2", 0), ("1/2", 0),
+        ("1/2", 0), ("1/2", 0), ("1/6", 3), ("1/6", 3), ("29/24", 77), ("29/24", 77),
+        ("7/2", 20), ("7/2", 20), ("11/8", 127), ("11/8", 148), ("35/8", 53), ("35/8", 53),
+        ("11/12", 193), ("11/12", 193), ("7/6", 8), ("7/6", 9), ("13/6", 3),
+        ("13/6", 4), ("13/12", 181), ("13/12", 17), ("5/6", 51), ("5/6", 29), ("11/2", 5),
         ("5/4", 19), ("11/12", 18), ("9/8", 6),
     ]  # fmt: skip
-    WITNESS_DIGEST = "3456f629f9a5bbc0"  # sha256 of the repr of every sorted witness
+    WITNESS_DIGEST = "af7e5ea55d4a16e5"  # sha256 of the repr of every sorted witness
 
     def test_distances_nodes_and_witnesses(self) -> None:
         results = [gh_exact(X, Y, initial=init) for X, Y, init in pinned_corpus()]
@@ -348,10 +396,10 @@ class TestPinnedSearch:
     @pytest.mark.parametrize(
         "sides, seeds, limits, stop",
         [
-            ((6, 6), (5, 6), SolverLimits(node_budget=40),
-             ("node budget 40 exhausted", 40, Fraction(17, 12), Fraction(35, 24))),
-            ((8, 8), (314, 414), SolverLimits(),
-             ("node budget 100000 exhausted", 100000, Fraction(5, 6), Fraction(41, 24))),
+            ((6, 6), (5, 6), SolverLimits(node_budget=5),
+             ("node budget 5 exhausted", 5, Fraction(17, 12), Fraction(35, 24))),
+            ((8, 8), (314, 414), SolverLimits(node_budget=100),
+             ("node budget 100 exhausted", 100, Fraction(5, 6), Fraction(29, 24))),
         ],
     )  # fmt: skip
     def test_stops(self, sides, seeds, limits, stop) -> None:
@@ -366,36 +414,28 @@ class TestPinnedSearch:
         assert {y for _, y in pairs} == set(range(Y.n))
         assert oracle_distortion(rows(X), rows(Y), pairs) == 2 * err.upper
 
-    # random 8x8 pairs that search deeply: three solves of 2.7k-22k nodes
-    # and one stop at the default budget, whose witness is its incumbent
+    # random 8x8 pairs on which _branch_and_bound searches deeply: three
+    # solves of 2.7k-22k nodes and one stop at the default budget
     DEEP_SEEDS = (16, 34, 25, 14)
-    DEEP_OUTCOMES = [
-        ("3/4", 2684), ("17/12", 22179), ("7/6", 9431), ("5/6", "41/24", 100000),
-    ]  # fmt: skip
-    DEEP_WITNESS_DIGEST = "b3ecad3da87e3e38"  # sha256 of the repr of every sorted witness
+    DEEP_OUTCOMES = [("3/4", 450), ("17/12", 121), ("7/6", 70), ("29/24", 142)]
+    DEEP_WITNESS_DIGEST = "afc057661a6e946a"  # sha256 of the repr of every sorted witness
 
     def test_deep_searches(self) -> None:
-        got, witnesses = [], []
-        for s in self.DEEP_SEEDS:
-            X, Y = random_metric_space(8, seed=300 + s), random_metric_space(8, seed=400 + s)
-            try:
-                res = gh_exact(X, Y)
-            except ResourceLimitError as err:
-                got.append((str(err.lower), str(err.upper), err.nodes))
-                witnesses.append(err.witness.sorted_pairs())
-            else:
-                got.append((str(res.distance), res.nodes_explored))
-                witnesses.append(res.optimal.sorted_pairs())
-        assert got == self.DEEP_OUTCOMES
+        results = [
+            gh_exact(random_metric_space(8, seed=300 + s), random_metric_space(8, seed=400 + s))
+            for s in self.DEEP_SEEDS
+        ]
+        assert [(str(r.distance), r.nodes_explored) for r in results] == self.DEEP_OUTCOMES
+        witnesses = [r.optimal.sorted_pairs() for r in results]
         digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
         assert digest == self.DEEP_WITNESS_DIGEST
 
     def test_twelve_point_pair_solves(self) -> None:
-        # unseeded, the kernel spends the default budget on this pair and
-        # stops with the bracket [1/2, 35/24]; the descent's seed solves it
+        # unseeded, _branch_and_bound spends the default budget on this pair
+        # and stops with the bracket [1/2, 35/24]
         X, Y = random_metric_space(12, seed=101), random_metric_space(12, seed=201)
         res = gh_exact(X, Y)
-        assert (res.distance, res.nodes_explored) == (Fraction(2, 3), 39076)
+        assert (res.distance, res.nodes_explored) == (Fraction(2, 3), 222)
         pairs = res.optimal.sorted_pairs()
         assert oracle_distortion(rows(X), rows(Y), pairs) == 2 * res.distance
 
