@@ -11,11 +11,17 @@ parsers share, and the constructions here build their views from their
 inputs' views. Construction always re-checks the metric axioms on the
 view, so every FiniteMetricSpace in circulation is a genuine metric:
 zero diagonal, symmetric, positive off the diagonal, triangle
-inequality. Clearing denominators is exact, so every check and
-comparison answers exactly as it would in Fraction arithmetic, and a
-validation report still carries Fraction values. Pseudometrics are
-rejected on purpose; several constructions in this package rely on
-distinct points staying at positive distance.
+inequality. The O(n^3) triangle check is a screen over pairs, chosen
+from the input: machine-word entries on 9 or more points pack each row
+into one int, one field per entry with a guard bit, and test a whole
+row per big-int step (SWAR); wider entries or fewer points take a min
+over middle points per pair. Either screen is exact, and only the pairs
+it flags are walked for witnesses, so a report lists the same
+violations in the same order. Clearing denominators is exact, so every
+check and comparison answers exactly as it would in Fraction
+arithmetic, and a validation report still carries Fraction values.
+Pseudometrics are rejected on purpose; several constructions in this
+package rely on distinct points staying at positive distance.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -221,6 +228,16 @@ def validate_metric(matrix) -> ValidationReport:
     checks run on the integer view; violations are listed diagonal
     first, then each pair i < j, then each triangle (i, j, k) by pair
     {i, k} and middle j.
+
+    The triangle inequality is first screened per pair {i, k}, and only
+    a pair that fails the screen is walked over j to list its
+    witnesses. The input picks one of two exact screens (_field_code):
+    with at least _PACKED_MIN_N points and every entry fitting a 64-bit
+    field with two bits to spare, the packed screen (_packed_screen)
+    tests every k of a row at once with big-int adds and ANDs; otherwise
+    the per-pair screen (_pair_screen) takes one min over j per pair.
+    Both flag exactly the same pairs, so the report does not depend on
+    the screen.
     """
     if not isinstance(matrix, IntegerView):
         matrix = IntegerView.parse(matrix)
@@ -232,36 +249,104 @@ def validate_metric(matrix) -> ValidationReport:
             bad.append(
                 Violation("zero_diagonal", (i,), Fraction(a[i][i], den), Fraction(0))
             )
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                bad.append(
-                    Violation(
-                        "symmetry", (i, j), Fraction(a[i][j], den), Fraction(a[j][i], den)
+    # A symmetric matrix whose only zeros are on its diagonal fails no
+    # pair; bad holds the nonzero diagonal entries so far.
+    cols = tuple(zip(*a))
+    if cols != a or sum(row.count(0) for row in a) > n - len(bad):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if a[i][j] != a[j][i]:
+                    bad.append(
+                        Violation(
+                            "symmetry", (i, j), Fraction(a[i][j], den), Fraction(a[j][i], den)
+                        )
                     )
-                )
-            elif a[i][j] == 0:
-                bad.append(Violation("positivity", (i, j), Fraction(0), Fraction(0)))
+                elif a[i][j] == 0:
+                    bad.append(Violation("positivity", (i, j), Fraction(0), Fraction(0)))
     # Triangle over each unordered pair {i, k} through every middle point j.
     # Entries are >= 0, so the middles j = i and j = k never undercut
-    # a[i][k] and the screen over all j is exact; only a pair that fails
-    # it is walked, to list its witnesses in order.
-    cols = list(zip(*a))
+    # a[i][k] and a screen over all j is exact; only a pair that fails it
+    # is walked, to list its witnesses in order.
+    code = _field_code(a)
+    for i, k in _packed_screen(a, code) if code else _pair_screen(a, cols):
+        ai, aik = a[i], a[i][k]
+        for j in range(n):
+            via = ai[j] + a[j][k]
+            if via < aik:
+                bad.append(
+                    Violation("triangle", (i, j, k), Fraction(aik, den), Fraction(via, den))
+                )
+    return ValidationReport(ok=not bad, violations=tuple(bad))
+
+
+# The packed screen's field widths: array typecodes of 1, 2, 4 and 8 bytes.
+_FIELDS = tuple((array(code).itemsize * 8, code) for code in "BHIQ")
+# Below this many points the per-pair screen is faster.
+_PACKED_MIN_N = 9
+
+
+def _field_code(a) -> str | None:
+    """The typecode of the packed screen's field for rows a, or None.
+
+    A field must hold a[i][j] + a[j][k] - a[i][k] + 2**(w - 1), which
+    needs the widest entry's bit length plus 2 bits (a sum up to twice
+    the widest entry, and a guard). None, for the per-pair screen, when
+    a has fewer than _PACKED_MIN_N rows or no machine word is that wide;
+    big-int fields would make each step a multi-digit multiplication.
+    """
+    if len(a) < _PACKED_MIN_N:
+        return None
+    bits = max(map(max, a)).bit_length() + 2
+    return next((code for w, code in _FIELDS if bits <= w), None)
+
+
+def _pair_screen(a, cols):
+    """The pairs (i, k), i < k in row-major order, with some j where
+    a[i][j] + a[j][k] < a[i][k]: one min over j per pair. cols are a's
+    columns."""
+    n = len(a)
     for i in range(n):
         ai = a[i]
         for k in range(i + 1, n):
-            ck, aik = cols[k], ai[k]
-            if min(map(add, ai, ck)) >= aik:
-                continue
-            for j in range(n):
-                via = ai[j] + ck[j]
-                if via < aik:
-                    bad.append(
-                        Violation(
-                            "triangle", (i, j, k), Fraction(aik, den), Fraction(via, den)
-                        )
-                    )
-    return ValidationReport(ok=not bad, violations=tuple(bad))
+            if min(map(add, ai, cols[k])) < ai[k]:
+                yield i, k
+
+
+def _packed_screen(a, code: str):
+    """The pairs of _pair_screen, one row i at a time (SWAR).
+
+    Row r packs into one int, a[r][k] in the w-bit field k. For each
+    middle j, packed[j] + (guards - packed[i]) + a[i][j] * ones holds
+    2**(w - 1) + a[i][j] + a[j][k] - a[i][k] in field k, which never
+    leaves [0, 2**w), so its top (guard) bit is set exactly when the
+    triangle through j holds. ANDing over every j leaves the guard of k
+    cleared exactly when some j fails for the pair (i, k).
+    """
+    n = len(a)
+    w = array(code).itemsize * 8
+    packed = [_packed(code, row) for row in a]
+    ones = _packed(code, [1] * n)
+    guards = ones << (w - 1)
+    for i in range(n - 1):
+        base = guards - packed[i]  # 2**(w - 1) - a[i][k] in field k
+        acc = guards
+        for v, p in zip(a[i], packed):
+            acc &= p + base + v * ones
+        # cleared guards of the fields k > i, lowest first
+        shift = (i + 1) * w
+        miss = (guards ^ acc) >> shift
+        while miss:
+            bit = miss & -miss
+            yield i, (shift + bit.bit_length() - 1) // w
+            miss ^= bit
+
+
+def _packed(code: str, values) -> int:
+    """The int with values[k] in field k, fields of array(code)'s item size."""
+    fields = array(code, values)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return int.from_bytes(fields, "little")
 
 
 def _checked_labels(labels, n: int) -> tuple[str, ...]:

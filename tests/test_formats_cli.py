@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -952,3 +953,103 @@ class TestCliDeterminism:
             save_space(X, p)
             code, out, _ = run(capsys, "validate", str(p))
             assert code == 0 and json.loads(out)["results"]["ok"] is True
+
+
+# Entries a fuzzed file may hold, each a JSON value; "@INF@" becomes the
+# bare JSON number 1e99999, which json reads as a float infinity.
+FUZZ_ENTRIES = (
+    True, False, None, 0.5, 1.0, -1, -3, [1], {"a": 1}, "@INF@", "1e99999",
+    "abc", "1/0", "", " 3 ", "10/4", "1e-3", "0.25", "-0", "+7",
+    2**60 - 1, 2**60, 2**61, 2**62 - 1, 2**62, 2**63, 10**400,
+)
+
+
+def _fuzzed_document(rng: random.Random):
+    """(labels, rows) of a random metric, then one to three mutations."""
+    n = rng.randint(1, 14)
+    X = random_space(rng, n)
+    if rng.random() < 0.5:  # the metric times its denominator, all ints
+        rows = [list(r) for r in X.view.rows]
+    else:
+        rows = [[int(v) if v.denominator == 1 else str(v) for v in r] for r in X.dist]
+    labels: list = list(X.labels)
+
+    def put(i, j, v, both=False):
+        for p, q in ((i, j), (j, i)) if both else ((i, j),):
+            if p < len(rows) and q < len(rows[p]):
+                rows[p][q] = v
+
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(8)
+        i, j, m = (rng.randrange(n) for _ in range(3))
+        if kind == 0:  # one odd entry
+            put(i, j, rng.choice(FUZZ_ENTRIES))
+        elif kind == 1:  # a pair both ways: wide, or too long for a triangle
+            put(i, j, rng.choice((2**61, 2**62, 10**400, 10**6)), both=True)
+        elif kind == 2:  # d * 2**e + 1 off the diagonal, across the width cutoff
+            f = 2 ** rng.choice((0, 48, 52, 53, 54, 55, 56, 60, 1300))
+            rows = [[v * f + 1 if type(v) is int and v else v for v in r] for r in rows]
+        elif kind == 3 and rows:  # ragged: a row loses or gains an entry, or goes
+            i %= len(rows)
+            if rng.random() < 0.3:
+                del rows[i]
+            elif rows[i] and rng.random() < 0.5:
+                rows[i].pop()
+            else:
+                rows[i].append(1)
+        elif kind == 4:  # asymmetry
+            put(i, j, "1/3" if i != j else 0)
+        elif kind == 5:  # a zero off the diagonal, or a nonzero diagonal
+            put(i, j, 0 if i != j else 1, both=True)
+        elif kind == 6:  # labels: a repeat, one too few, or not strings
+            labels = rng.choice((labels[:1] * n, labels[1:], list(range(n))))
+        elif kind == 7:  # short by one through m, when every entry is an int
+            if all(type(v) is int for r in rows for v in r) and len(rows) == n:
+                if all(len(r) == n for r in rows) and len({i, j, m}) == 3:
+                    put(i, j, rows[i][m] + rows[m][j] + 1, both=True)
+    return labels, rows
+
+
+def _write_fuzzed(rng: random.Random, path: Path) -> Path:
+    labels, rows = _fuzzed_document(rng)
+    if rng.random() < 0.5:
+        text = json.dumps({"labels": labels, "dist": rows}).replace('"@INF@"', "1e99999")
+        if rng.random() < 0.05:
+            text = text[: rng.randrange(len(text))]
+        path = path.with_suffix(".json")
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(labels)
+        writer.writerows([json.dumps(v) if not isinstance(v, str) else v for v in r] for r in rows)
+        text = buf.getvalue().replace("@INF@", "1e99999")
+        path = path.with_suffix(".csv")
+    path.write_text(text)
+    return path
+
+
+class TestCliFuzz:
+    def test_mutated_files_exit_with_documented_codes(self, tmp_path: Path) -> None:
+        # validate and gh, in process, on 1000 seeded mutations of random
+        # metrics; every exit is a documented code and nothing escapes
+        rng = random.Random(8080)
+        y = tmp_path / "y.json"
+        save_space(random_metric_space(3, seed=1), y)
+        seen: dict[tuple[str, int], int] = {}
+        for k in range(1000):
+            path = _write_fuzzed(rng, tmp_path / f"f{k}")
+            commands = [["validate", str(path)]]
+            if k % 2:
+                commands.append(["gh", str(path), str(y), "--limit-nodes", "2000"])
+            for argv in commands:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 2, 3, 4, 5, 6, 7), (argv, path.read_text()[:300], err.getvalue())
+                if argv[0] == "validate" and code in (0, 4):
+                    assert json.loads(out.getvalue())["results"]["ok"] is (code == 0)
+                seen[argv[0], code] = seen.get((argv[0], code), 0) + 1
+        # the mutations reach every outcome of both commands
+        assert {key for key, count in seen.items() if count >= 10} >= {
+            ("validate", 0), ("validate", 3), ("validate", 4), ("gh", 0), ("gh", 3), ("gh", 4)
+        }, seen

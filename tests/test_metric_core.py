@@ -151,6 +151,52 @@ def plant(rng: random.Random, d: list[list[Fraction]], axiom: str) -> None:
         d[i][j] = d[j][i] = Fraction(0)
 
 
+# Largest entries at the top of each packed-screen field (8, 16, 32 and
+# 64 bits, two of them for the guard and the sum), and on both sides of
+# the widest field, where the per-pair screen takes over.
+EDGE_ENTRIES = (
+    2**6 - 1, 2**7 - 1, 2**14 - 1, 2**15 - 1, 2**30 - 1, 2**31 - 1,
+    2**60 - 1, 2**60, 2**61, 2**62 - 1, 2**62, 10**400,
+)
+
+
+def band_metric(rng: random.Random, n: int, top: int) -> list[list[Fraction]]:
+    """Integer entries in [top/2, top] off the diagonal, top - 1 and top
+    among them: a metric whose largest entry is top in its view."""
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = Fraction(rng.randint(-(-top // 2), top))
+    d[0][1] = d[1][0] = Fraction(top - 1)
+    d[0][n - 1] = d[n - 1][0] = Fraction(top)
+    return d
+
+
+def filled_fields(rng: random.Random, n: int, top: int) -> list[list[Fraction]]:
+    """Arbitrary entries from {0, 1, 2, top - 1, top}: many a[i][j] and
+    a[j][k] both equal top, so a[i][j] + a[j][k] = 2 * top."""
+    vals = [0, 1, 2, top - 1, top, top, top]
+    return [[Fraction(rng.choice(vals)) for _ in range(n)] for _ in range(n)]
+
+
+def short_beside_a_full_field(rng: random.Random, n: int, top: int) -> list[list[Fraction]]:
+    """A metric with entries in [top/2, 5 top/8], then the triangle over
+    {i, k + 1} broken by exactly 1 through a middle j whose sum
+    a[i][j] + a[j][k] - a[i][k] exceeds top; j is the only middle that
+    breaks it. top is the largest entry."""
+    low = -(-top // 2)
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p + 1, n):
+            d[p][q] = d[q][p] = Fraction(rng.randint(low, low + top // 8))
+    i, k = sorted(rng.sample(range(n - 1), 2))
+    j = rng.choice([m for m in range(n) if m not in (i, k, k + 1)])
+    h = top // 2
+    for (p, q), v in (((i, j), h), ((j, k + 1), 1), ((i, k + 1), h + 2), ((i, k), 1), ((j, k), top)):
+        d[p][q] = d[q][p] = Fraction(v)
+    return d
+
+
 class TestValidationAgainstOracle:
     AXIOMS = ("triangle", "symmetry", "zero_diagonal", "positivity")
 
@@ -170,11 +216,31 @@ class TestValidationAgainstOracle:
                 d = mixed_metric(rng, rng.randint(3, 9))
                 plant(rng, d, axiom)
                 assert any(v[0] == axiom for v in self.check(d)), axiom
+        for axiom in self.AXIOMS:
+            for n in (11, 16, 23, 40):
+                d = mixed_metric(rng, n)
+                plant(rng, d, axiom)
+                assert any(v[0] == axiom for v in self.check(d)), axiom
+            for top in EDGE_ENTRIES:
+                d = band_metric(rng, rng.randint(11, 20), top)
+                plant(rng, d, axiom)
+                assert any(v[0] == axiom for v in self.check(d)), (axiom, top)
 
     def test_several_planted_violations(self) -> None:
         rng = random.Random(405)
         for _ in range(20):
             d = mixed_metric(rng, rng.randint(3, 10))
+            for axiom in rng.choices(self.AXIOMS, k=rng.randint(2, 6)):
+                plant(rng, d, axiom)
+            self.check(d)
+        for top in EDGE_ENTRIES:
+            for n in (9, 11, 20):
+                self.check(short_beside_a_full_field(rng, n, top))
+        for _ in range(12):
+            n = rng.randint(11, 40)
+            d = mixed_metric(rng, n) if rng.random() < 0.5 else band_metric(
+                rng, n, rng.choice(EDGE_ENTRIES)
+            )
             for axiom in rng.choices(self.AXIOMS, k=rng.randint(2, 6)):
                 plant(rng, d, axiom)
             self.check(d)
@@ -189,11 +255,50 @@ class TestValidationAgainstOracle:
                 for _ in range(n)
             ]
             self.check(d)
+        # asymmetric, with nonzero diagonals, past the size where the
+        # packed screen starts
+        for _ in range(12):
+            n = rng.randint(11, 40)
+            top = rng.choice(EDGE_ENTRIES)
+            d = [
+                [Fraction(rng.randint(0, top), rng.choice(dens)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            self.check(d)
+        for top in EDGE_ENTRIES:
+            for n in (9, 12, 17):
+                self.check(filled_fields(rng, n, top))
+        # one point, and all-equal matrices, whose view is all 0s or all 1s
+        for c in (0, 1, 5, 2**61):
+            for n in (1, 2, 8, 9, 12):
+                self.check([[Fraction(c)] * n for _ in range(n)])
 
     def test_valid_matrices_report_nothing(self) -> None:
         rng = random.Random(407)
         for _ in range(20):
             assert self.check(mixed_metric(rng, rng.randint(1, 10))) == ()
+        for n in (11, 25, 40):
+            assert self.check(mixed_metric(rng, n)) == ()
+        for top in EDGE_ENTRIES:
+            assert self.check(band_metric(rng, rng.randint(9, 30), top)) == ()
+
+    def test_large_planted_violation_is_raised_with_its_witnesses(self) -> None:
+        rng = random.Random(409)
+        n = 200
+        d = rows(random_metric_space(n, seed=409))
+        i, j, k = rng.sample(range(n), 3)
+        d[i][k] = d[k][i] = d[i][j] + d[j][k] + Fraction(1, 12)
+        with pytest.raises(MetricValidationError) as info:
+            FiniteMetricSpace.from_matrix(d)
+        lo, hi = min(i, k), max(i, k)
+        # only the pair {i, k} grew, so every violation is a triangle over it
+        want = tuple(
+            ("triangle", (lo, m, hi), d[lo][hi], d[lo][m] + d[m][hi])
+            for m in range(n)
+            if d[lo][m] + d[m][hi] < d[lo][hi]
+        )
+        got = tuple((v.axiom, v.witness, v.lhs, v.rhs) for v in info.value.report.violations)
+        assert got == want and ("triangle", (lo, j, hi), d[i][k], d[i][k] - Fraction(1, 12)) in got
 
     def test_integer_view_round_trips(self) -> None:
         rng = random.Random(408)
