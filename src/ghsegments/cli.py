@@ -12,7 +12,8 @@ that effective config. Every search runs under the node budget
 
     0  success
     2  command line usage error
-    3  malformed input, argument outside its domain, or unwritable output
+    3  malformed input, argument outside its domain, a size too large to
+       build (OverflowError or MemoryError), or unwritable output
     4  metric validation failure
     5  solver node budget exhausted (best bounds on stderr)
     6  construction hypothesis not satisfied (no admissible parameters)
@@ -471,6 +472,9 @@ def main(argv=None) -> int:
         code = args.handler(args, cfg, report)
     except (MalformedInputError, DomainError, OSError) as exc:  # OSError: unwritable output
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
+    except (OverflowError, MemoryError) as exc:  # a size past what can be built
+        print(f"error: size too large to build: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_MALFORMED
     except MetricValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,10 +25,12 @@ from an interior member Z:
 
 build_segment_family certifies Z once (three solver runs, d_XY among
 them) and every W(mu, m) from one finite check, since the simplex
-vertices are interchangeable and nothing depends on m beyond 3:
+vertices are interchangeable and nothing depends on m beyond 2:
 
-* metric axioms: each axiom instance names at most 3 points, so W(mu, 3)
-  (validated in full) is a metric exactly when every W(mu, m >= 3) is;
+* metric axioms: an axiom instance names at most 3 points; with at most
+  two simplex vertices it is one of W(mu, 2) up to a swap of vertices,
+  and with three it is mu <= 2 mu, so W(mu, 2) (validated in full) is a
+  metric exactly when every W(mu, m >= 2) is;
 * membership: the lifts of Z's two witnesses bound d_XW and d_WY from
   above, and when their halved distortions sum to the certified d_XY
   the triangle inequality makes both exact (see certify_by_lifts). A
@@ -445,14 +447,6 @@ class NoncompactnessReport:
         return all(e.member for e in self.entries)
 
 
-def _first_points(W: FiniteMetricSpace, n: int) -> FiniteMetricSpace:
-    """The subspace of W's first n points."""
-    if n == W.n:
-        return W
-    rows = [row[:n] for row in W.view.rows[:n]]
-    return FiniteMetricSpace(W.labels[:n], IntegerView(rows, W.view.den))
-
-
 def _pick_z_star(Z: FiniteMetricSpace) -> int:
     """Default graft point: the most isolated one (lowest index on ties)."""
     if Z.n == 1:
@@ -483,11 +477,10 @@ def build_segment_family(
     member reuses d_XY and its witness, since X and Y never change. The
     rest is one finite check, whatever the sizes in ms:
 
-    * W(mu, min(max(ms), 3)) is built, and so validated in full; the
-      members at m = 1 and m = 2 are its first Z.n - 1 + m points;
-    * certify_by_lifts runs on the lifts of Z's two witnesses at
-      min(m, 2), once for each such value; a member at m >= 2 has the
-      2-lift's distances, member flag and d_XY;
+    * for each value k = min(m, 2), W(mu, k) is built, and so validated
+      in full, and certify_by_lifts runs on it and the lifts of Z's two
+      witnesses at k; a member at m >= 2 has the 2-lift's distances,
+      member flag and d_XY, and is a metric since W(mu, 2) is;
     * cov(Z, mu/4) is taken once, and cov(W(mu, m), mu/4) is
       m + cov(Z, mu/4) - 1.
 
@@ -524,12 +517,10 @@ def build_segment_family(
             )
     eps = mu / 4
     graft = _Graft(Z, zs, mu, base)
-    top = graft.space(min(max(ms), 3))
     certified = {}
     for k in sorted({min(m, 2) for m in ms}):
-        W = _first_points(top, Z.n - 1 + k)
         certified[k] = certify_by_lifts(
-            X, Y, W, *graft.lifts(k), base.d_xy, base.witness_xy
+            X, Y, graft.space(k), *graft.lifts(k), base.d_xy, base.witness_xy
         )
     # mu < 2 S(z*) puts every vertex alone in its eps-ball, out of reach
     # of Z - z*, whose cover is the one in Z less z*'s own ball

@@ -12,16 +12,18 @@ the best upper bound found, the node count and the witness of that
 bound: the search's incumbent, re-checked like any other.
 
 Two searches share one seam: each sees two lists of integer rows, the
-candidate starts and a node budget (None for none), prices the
-candidates with _start and returns the best distortion, its pairs, the
-node count and whether the budget ran out. One gate picks the search:
-when both sides have at least _DESCENT_MIN_SIDE points, gh_exact adds
-the pairs of _map_pair_descent to the caller's initial as candidates (a
-deterministic local search over pairs of maps X -> Y and Y -> X, which
-usually finds the optimum) and runs _threshold_search; below the gate it
-runs _branch_and_bound, which is about twice as fast there. Both call
-nothing recursively, so neither has a depth limit, and their node
-counts count different things.
+swap classes of each side, the candidate starts and a node budget (None
+for none), prices the candidates with _start and returns the best
+distortion, its pairs, the node count and whether the budget ran out.
+The classes are the spaces' own, IntegerView.swap_classes, computed on
+a space's first solve; neither search computes classes. One gate picks
+the search: when both sides have at least _DESCENT_MIN_SIDE points,
+gh_exact adds the pairs of _map_pair_descent to the caller's initial as
+candidates (a deterministic local search over pairs of maps X -> Y and
+Y -> X, which usually finds the optimum) and runs _threshold_search;
+below the gate it runs _branch_and_bound, which is about twice as fast
+there. Both call nothing recursively, so neither has a depth limit, and
+their node counts count different things.
 
 _threshold_search proves the incumbent optimal by rounds of a decision:
 a correspondence of distortion at most delta is a clique of cells whose
@@ -120,16 +122,17 @@ def gh_exact(
     if initial is not None:
         _check_shape(initial, X, Y)
     dx, dy, scale = common_rows(X, Y)
+    cx, cy = X.view.swap_classes, Y.view.swap_classes
     # rows range over the larger space so each branching step stays narrow
     flip = Y.n > X.n
     if flip:
-        dx, dy = dy, dx
+        dx, dy, cx, cy = dy, dx, cy, cx
     seeds = [] if initial is None else [[(b, a) if flip else (a, b) for a, b in initial.pairs]]
     search = _branch_and_bound
     if min(X.n, Y.n) >= _DESCENT_MIN_SIDE:
         seeds.append(_map_pair_descent(dx, dy))
         search = _threshold_search
-    val, pairs, nodes, spent = search(dx, dy, seeds, limits.node_budget)
+    val, pairs, nodes, spent = search(dx, dy, cx, cy, seeds, limits.node_budget)
     if flip:
         pairs = [(b, a) for a, b in pairs]
     distance = Fraction(val, 2 * scale)
@@ -245,38 +248,6 @@ def _map_pair_descent(dA, dB):
 # ---------------------------------------------------------- branch and bound
 
 
-def _swap_classes(d) -> list[int]:
-    """Grouping of mutually swappable points.
-
-    Points r, r' are swappable when exchanging them is an isometry:
-    d[r][k] == d[r'][k] for every k outside {r, r'}. Members of one
-    class are interchangeable in any correspondence, which licenses an
-    ordering constraint on their assigned subsets. Swappability is an
-    equivalence, since isometric transpositions compose as
-    (r t) = (r s)(s t)(r s), so each point is tested against the first
-    member of each class only.
-    """
-    n = len(d)
-
-    def swappable(r, s):
-        # rows r and s with the entries at r and s blanked out
-        row_r, row_s = list(d[r]), list(d[s])
-        row_r[r] = row_r[s] = row_s[r] = row_s[s] = 0
-        return row_r == row_s
-
-    cls = [-1] * n
-    firsts: list[int] = []
-    for r in range(n):
-        for ci, first in enumerate(firsts):
-            if swappable(r, first):
-                cls[r] = ci
-                break
-        else:
-            cls[r] = len(firsts)
-            firsts.append(r)
-    return cls
-
-
 def _start(dA, dB, seeds):
     """(value, pairs) of the candidate in seeds of lowest integer_distortion,
     the first on ties, or of the full product if there is none."""
@@ -288,20 +259,19 @@ def _start(dA, dB, seeds):
     return best_val, best_pairs
 
 
-def _branch_and_bound(dA, dB, seeds, budget):
-    """(best value, its pairs, node count, budget spent) over integer rows,
-    starting from _start's incumbent."""
+def _branch_and_bound(dA, dB, cA, cB, seeds, budget):
+    """(best value, its pairs, node count, budget spent) over integer rows
+    with swap classes cA and cB, starting from _start's incumbent."""
     na, nb = len(dA), len(dB)
     last = na - 1
     full_cols = (1 << nb) - 1
     best_val, best_pairs = _start(dA, dB, seeds)
 
     ecc = [max(row) for row in dA]
-    cls = _swap_classes(dA)
-    order = sorted(range(na), key=lambda r: (-ecc[r], cls[r], r))
+    order = sorted(range(na), key=lambda r: (-ecc[r], cA[r], r))
     # from here on a row is its position in the search order
     dA = [[dA[r][s] for s in order] for r in order]
-    cls = [cls[r] for r in order]
+    cls = [cA[r] for r in order]
     nodes = 0
     # a row on offer is (pos, covered, M, path, prev_mask, options): path
     # links the column sets chosen above it. An entry (row, i, v, members,
@@ -419,10 +389,11 @@ def _branch_and_bound(dA, dB, seeds, budget):
 # --------------------------------------------------------- threshold search
 
 
-def _threshold_search(dA, dB, seeds, budget):
-    """(best value, its pairs, node count, budget spent) over integer rows,
-    starting from _start's incumbent, by rounds of a decision: is there a
-    correspondence of distortion at most delta = incumbent - 1?
+def _threshold_search(dA, dB, cA, cB, seeds, budget):
+    """(best value, its pairs, node count, budget spent) over integer rows
+    with swap classes cA and cB, starting from _start's incumbent, by
+    rounds of a decision: is there a correspondence of distortion at most
+    delta = incumbent - 1?
 
     dis R <= delta exactly when every two cells of R are delta-compatible
     (Memoli 2007), so a round looks for a clique of compatible cells that
@@ -444,7 +415,7 @@ def _threshold_search(dA, dB, seeds, budget):
     lines += [sum(1 << (a * nb + b) for a in range(na)) for b in range(nb)]
     shift = [a * nb for a in range(na)] + list(range(nb))
     # the lines of each line's swap class, rows of dA or columns of dB
-    cls = [(0, c) for c in _swap_classes(dA)] + [(1, c) for c in _swap_classes(dB)]
+    cls = [(0, c) for c in cA] + [(1, c) for c in cB]
     classes = {}
     for ln, c in enumerate(cls):
         classes.setdefault(c, []).append(ln)

@@ -32,7 +32,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from numbers import Rational
 from operator import add, or_
@@ -155,7 +155,7 @@ class IntegerView:
     form a non-empty square of nonnegative integers, row by row, and
     puts the view in normal form: rows and den divided by their gcd, so
     den is the least common denominator of the entries and a matrix has
-    exactly one view.
+    exactly one view. Its swap classes are computed when first read.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -213,6 +213,36 @@ class IntegerView:
         """The rows over den, a multiple of self.den."""
         f = den // self.den
         return self.rows if f == 1 else [[v * f for v in row] for row in self.rows]
+
+    @cached_property
+    def swap_classes(self) -> tuple[int, ...]:
+        """Each point's class of swappable points, numbered by first member.
+
+        r and s are swappable when exchanging them is an isometry: rows r
+        and s agree outside columns r and s. On a symmetric matrix with a
+        zero diagonal, such as a space's view, that is an equivalence, as
+        (r t) = (r s)(s t)(r s), and swappable rows have equal sums; so a
+        row is tested only against the first member of each class among
+        the rows of its sum. Scaling the rows keeps the classes.
+        """
+        d = self.rows
+        cls: list[int] = []
+        firsts: dict[int, list[int]] = {}  # row sum -> first members of its classes
+        count = 0
+        for r, row in enumerate(d):
+            bucket = firsts.setdefault(sum(row), [])
+            for s in bucket:
+                # rows r and s with the entries at r and s blanked out
+                row_r, row_s = list(row), list(d[s])
+                row_r[r] = row_r[s] = row_s[r] = row_s[s] = 0
+                if row_r == row_s:
+                    cls.append(cls[s])
+                    break
+            else:
+                cls.append(count)
+                count += 1
+                bucket.append(r)
+        return tuple(cls)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -28,6 +28,7 @@ from ghsegments import (
     validate_metric,
 )
 from ghsegments.cli import main
+from ghsegments.config import KEYS
 from tests.conftest import count_calls, random_space, run_python
 
 
@@ -534,6 +535,21 @@ class TestCliBasics:
             "  symmetry violated at (0, 1): 1 vs 2",
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "x", "y", "z", "--m-max", str(10**30)],
+            ["graft", "z", "--m", str(10**24), "--mu", "1/100"],
+        ],
+        ids=["report-m-max", "graft-m"],
+    )
+    def test_size_past_maxsize_is_exit_3(self, capsys, spaces, argv) -> None:
+        # Python cannot size a list this long: OverflowError, not a traceback
+        argv = [str(spaces[a]) if a in spaces else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: size too large to build: ")
+
     def test_cli_imports_no_numpy(self) -> None:
         proc = run_python(
             "-c", "import sys, ghsegments.cli; print('numpy' in sys.modules)"
@@ -696,7 +712,7 @@ class TestCliPipelines:
         assert err.startswith("error: internal certificate check failed: lifted witnesses give")
 
     def test_report_builds_no_member(self, capsys, spaces, monkeypatch) -> None:
-        # the table comes from the family's one check at m <= 3: no graft
+        # the table comes from the family's one check at m <= 2: no graft
         # and no covering beyond it, however long the table
         from ghsegments import segments
 
@@ -1053,3 +1069,116 @@ class TestCliFuzz:
         assert {key for key, count in seen.items() if count >= 10} >= {
             ("validate", 0), ("validate", 3), ("validate", 4), ("gh", 0), ("gh", 3), ("gh", 4)
         }, seen
+
+    def test_fuzzed_flags_and_configs_exit_with_documented_codes(
+        self, spaces, tmp_path: Path
+    ) -> None:
+        # every command, in process, on 1200 seeded draws of flag values and
+        # config files; every exit is a documented code and nothing escapes
+        rng = random.Random(9090)
+        seen: dict[int, int] = {}
+        for k in range(1200):
+            argv = _fuzzed_argv(rng, spaces, tmp_path / f"c{k}")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3, 4, 5, 6, 7), (argv[:12], err.getvalue()[-500:])
+            if code:
+                assert out.getvalue() == "", argv[:12]
+            seen[code] = seen.get(code, 0) + 1
+        assert {code for code, count in seen.items() if count >= 10} >= {0, 2, 3, 5, 6}, seen
+
+
+# Each command's positional spaces (keys of the spaces fixture) and flags.
+FUZZ_COMMANDS = {
+    "validate": ("z", ()),
+    "gh": ("xy", ("--method", "--emit-correspondence")),
+    "geodesic": ("xy", ("--ts", "--out-dir")),
+    "segment-check": ("xyz", ()),
+    "star": ("z", ("--z0", "--delta", "--out")),
+    "graft": ("z", ("--m", "--zstar", "--mu", "--out")),
+    "family": ("xyz", ("--ms", "--zstar", "--mu", "--report")),
+    "report": ("xyz", ("--m-max", "--zstar", "--mu", "--plot-data", "--out")),
+    "hausdorff": ("x", ("--a", "--b")),
+}
+REQUIRED_FLAGS = {"star": ("--z0",), "graft": ("--m",), "hausdorff": ("--a", "--b")}
+PATH_FLAGS = ("--emit-correspondence", "--out-dir", "--out", "--report", "--plot-data")
+# Values each flag takes about half the time, so that most draws get past
+# argparse to the commands themselves.
+# The labels are those of the fixture's Z, and for --a and --b of its X.
+FLAG_USUAL = {
+    "--method": ("auto", "bnb"), "--ts": ("0,1/2", "1/4"), "--z0": ("(p0,p0)", "(p1,p1)"),
+    "--zstar": ("(p0,p0)", "(p2,p2)"), "--a": ("p0", "p0,p1"), "--b": ("p2",),
+    "--delta": ("1/4", "1/2"), "--mu": ("1/8", "1/4", "1", "3"),
+    "--limit-nodes": ("0", "2", "100"),
+}  # fmt: skip
+CONFIG_USUAL = {
+    "node_budget": (None, 2, 100), "sample_grid": (["0", "1/2"],), "delta": ("1/4",),
+    "mu": ("1/8", "1/4"),
+}  # fmt: skip
+# Flag values; "@BIG@" becomes an int of 5000 digits, past int()'s digit limit.
+FLAG_TEXTS = (
+    "1/0", "1e99999", "1e-5000", "٣", "", " ", "abc", "0", "-1", "1", "3",
+    "1/2", "1/4", "3/2", "0.25", "0,1/2", ",", "2,3", "p0", "p1", "p2", "p0,p1",
+    "(p0,p0)", "(p9,p9)", "true", "null", "[1]", "@BIG@", "auto", "bnb",
+)  # fmt: skip
+# Config values; "@INF@" becomes the bare JSON number 1e99999 (a float
+# infinity), "@BIG@" a bare int of 5000 digits.
+CONFIG_VALUES = (
+    True, False, None, 0.5, 1.0, -1, 0, 1, 3, [], [1], [2, 3], ["1/2"], ["0", "1"],
+    {"a": 1}, "1/0", "1e99999", "@INF@", "@BIG@", "٣", "", "abc", "1/2", "1/4", "p0",
+)  # fmt: skip
+CONFIG_SIZES = ("node_budget", "ms", "m_max")
+CONFIG_PATHS = ("out", "out_dir")
+
+
+def _fuzzed_size(rng: random.Random, small: bool) -> int:
+    """A size at most 20, or (unless small) past sys.maxsize; never one in
+    between, so no case builds a large dense matrix."""
+    if small or rng.random() < 0.7:
+        return rng.randint(-2, 20)
+    return rng.choice((sys.maxsize + 1, 10**24, 10**30))
+
+
+def _fuzzed_argv(rng: random.Random, spaces: dict[str, Path], base: Path) -> list[str]:
+    """A command line of random flag values and, at random, a config file.
+
+    family builds and prints every member, whose lift grows with m, so its
+    sizes stay small; every output path lies under base."""
+    cmd = rng.choice(sorted(FUZZ_COMMANDS))
+    positional, flags = FUZZ_COMMANDS[cmd]
+    small = cmd == "family"
+    paths = ("", str(base / "o.json"), str(base / "no" / "such" / "dir" / "o.json"), str(base.parent))
+    argv = [cmd, *(str(spaces[p]) for p in positional)]
+    for flag in flags + ("--limit-nodes",):
+        if rng.random() < (0.9 if flag in REQUIRED_FLAGS.get(cmd, ()) else 0.4):
+            if flag in PATH_FLAGS:
+                value = rng.choice(paths)
+            elif flag in ("--m", "--m-max") and rng.random() < 0.7:
+                value = str(_fuzzed_size(rng, small))
+            elif flag == "--ms" and rng.random() < 0.7:
+                value = ",".join(str(_fuzzed_size(rng, small)) for _ in range(rng.randint(1, 3)))
+            elif flag in FLAG_USUAL and rng.random() < 0.5:
+                value = rng.choice(FLAG_USUAL[flag])
+            else:
+                value = rng.choice(FLAG_TEXTS).replace("@BIG@", "9" * 5000)
+            argv += [flag, value]
+    if rng.random() < 0.5:
+        config: dict = {}
+        for key in rng.sample(KEYS + ("seed", "limits", "Ms", ""), rng.randint(1, 4)):
+            if key in CONFIG_PATHS:
+                config[key] = rng.choice((*paths, 7, None, [1]))
+            elif key in CONFIG_SIZES and rng.random() < 0.7:
+                size = _fuzzed_size(rng, small)
+                config[key] = [size] if key == "ms" else size
+            elif key in CONFIG_USUAL and rng.random() < 0.5:
+                config[key] = rng.choice(CONFIG_USUAL[key])
+            else:
+                config[key] = rng.choice(CONFIG_VALUES)
+        text = json.dumps(config).replace('"@INF@"', "1e99999").replace('"@BIG@"', "9" * 5000)
+        if rng.random() < 0.05:
+            text = text[: rng.randrange(len(text) + 1)]
+        path = base.with_suffix(".cfg.json")
+        path.write_text(text)
+        argv += ["--config", str(path) if rng.random() < 0.95 else str(base / "missing.json")]
+    return argv

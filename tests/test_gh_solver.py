@@ -29,8 +29,7 @@ from ghsegments import (
 from ghsegments import solver
 from ghsegments.correspondences import integer_distortion
 from ghsegments.segments import _pick_z_star
-from ghsegments.solver import _swap_classes
-from ghsegments.spaces import common_rows
+from ghsegments.spaces import IntegerView, common_rows
 from tests.conftest import (
     count_calls,
     oracle_distortion,
@@ -265,10 +264,11 @@ class TestThresholdSearch:
                 X = random_space(rng, rng.randint(6, 9))
             Y = random_space(rng, rng.randint(6, 9))
             dA, dB, scale = common_rows(X, Y)
+            cA, cB = X.view.swap_classes, Y.view.swap_classes
             if Y.n > X.n:  # gh_exact's orientation
-                dA, dB = dB, dA
+                dA, dB, cA, cB = dB, dA, cB, cA
             seeds = [solver._map_pair_descent(dA, dB)]
-            val, _, _, spent = solver._branch_and_bound(dA, dB, seeds, 20_000)
+            val, _, _, spent = solver._branch_and_bound(dA, dB, cA, cB, seeds, 20_000)
             res = gh_exact(X, Y)
             want = Fraction(val, 2 * scale)
             assert res.distance <= want if spent else res.distance == want
@@ -293,7 +293,10 @@ class TestThresholdSearch:
         res = gh_exact(S10, S9)
         assert (res.distance, res.nodes_explored) == (Fraction(1, 2), 46)
         monkeypatch.undo()
-        monkeypatch.setattr(solver, "_swap_classes", lambda d: list(range(len(d))))
+        # all-singleton classes; a property outranks the classes W and Y
+        # already keep from the solve above
+        singletons = property(lambda view: tuple(range(len(view))))
+        monkeypatch.setattr(IntegerView, "swap_classes", singletons)
         with pytest.raises(ResourceLimitError) as exc:
             gh_exact(W, Y)
         assert exc.value.nodes == 100_000
@@ -483,7 +486,34 @@ class TestSymmetryClasses:
                  for r, p in enumerate(owner)]
             )  # fmt: skip
         for d in matrices:
-            assert _swap_classes(d) == brute_classes(d)
+            assert list(IntegerView(d, 1).swap_classes) == brute_classes(d)
+
+    def test_scaled_rows_keep_the_classes(self) -> None:
+        # the solver reads each view's classes but searches common_rows,
+        # scaled to the pair's common denominator
+        rng = random.Random(78)
+        Z = random_metric_space(4, seed=5)
+        W = simplex_graft(Z, GraftParams(0, isolation_radius(Z, 0), 5))
+        for X in (W, simplex(6, Fraction(1, 7)), random_space(rng, 6)):
+            for Y in (FiniteMetricSpace.from_matrix([[0, Fraction(1, 11)], [Fraction(1, 11), 0]]), W):
+                dx, dy, _ = common_rows(X, Y)
+                assert list(X.view.swap_classes) == brute_classes(dx)
+                assert list(Y.view.swap_classes) == brute_classes(dy)
+
+    def test_each_side_is_classified_once(self, monkeypatch) -> None:
+        # repeated solves of one pair, down each search, read the classes
+        # each view computed on its first solve
+        prop = IntegerView.__dict__["swap_classes"]
+        computed = []
+        real = prop.func
+        monkeypatch.setattr(prop, "func", lambda view: computed.append(view) or real(view))
+        for n in (4, 7):
+            X, Y = random_metric_space(n, seed=n), simplex(n + 1, 1)
+            for _ in range(3):
+                gh_exact(X, Y)
+                gh_exact(Y, X)
+            assert computed == [X.view, Y.view]
+            computed.clear()
 
 
 class TestNumericRanges:

@@ -359,7 +359,7 @@ class TestFamilyAndReport:
             assert e.cov >= e.m
 
     def test_uniform_family_matches_materialised_members(self) -> None:
-        # the family's numbers come from one check at m <= 3; each member
+        # the family's numbers come from one check at m <= 2; each member
         # must equal what building W(mu, m), certifying its own lifts and
         # covering it give, at every graft point of random midpoints
         rng = random.Random(1616)

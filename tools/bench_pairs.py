@@ -102,6 +102,16 @@ def metric_summary(parent: dict, change: dict, higher: bool, bound: float) -> di
     }
 
 
+def claim_met(s: dict, higher: bool) -> bool:
+    """The claim rule of VERDICT_RULE on one metric_summary: the change is
+    better on at least 9 of 10 pairs, a tie counting for neither side, and
+    the medians differ, in the better direction, by more than the parent's
+    interquartile range."""
+    done, total = map(int, s["change_better_pairs"].split("/"))
+    gap = s["change_median"] - s["parent_median"]
+    return 10 * done >= 9 * total and (gap if higher else -gap) > s["parent_iqr"]
+
+
 def summarise(runs: list[dict], workloads: list[str], metrics: list[dict]) -> dict:
     summary = {}
     for w in workloads:
@@ -180,8 +190,6 @@ def main(argv=None) -> int:
     if args.claim:
         w, m = args.claim.split("/")
         s = summary[w][m]
-        done, total = map(int, s["change_better_pairs"].split("/"))
-        gap = s["change_median"] - s["parent_median"]
         higher = next(x["better"] == "higher" for x in metrics if x["name"] == m)
         doc["claim"] = {
             "workload": w,
@@ -191,7 +199,7 @@ def main(argv=None) -> int:
             "parent_iqr": s["parent_iqr"],
             "change_better_pairs": s["change_better_pairs"],
             "pair_ratio_median": s["pair_ratio_median"],
-            "met": done >= 0.9 * total and (gap if higher else -gap) > s["parent_iqr"],
+            "met": claim_met(s, higher),
         }
     if trace:
         doc["trace"] = {"command": f"python3 bench/run.py --workload <workload> --seed 1 "
