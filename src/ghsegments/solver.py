@@ -5,31 +5,39 @@
 gh_exact is the only step of a solve that sees spaces. It checks the
 seed's shape, puts both spaces on integer rows over one common
 denominator, orients the solve so rows range over the larger side,
-seeds a search, runs it, maps its pairs back, re-checks the witness by
-distortion and refuses a spent node budget. The node budget is the one
-limit on the search, whatever the sides; a stop carries gh_lower_bound,
-the best upper bound found, the node count and the witness of that
-bound: the search's incumbent, re-checked like any other.
+prices the candidate starts, runs a search unless a start is already
+optimal, re-checks the search's witness by its integer distortion, maps
+its pairs back and refuses a spent node budget. The node budget is the
+one limit on the search, whatever the sides; a stop carries the root
+bound, the best upper bound found, the node count and the witness of
+that bound: the search's incumbent, re-checked like any other.
+
+The candidate starts are the caller's initial and, when both sides have
+at least _DESCENT_MIN_SIDE points, the pairs of _map_pair_descent (a
+deterministic local search over pairs of maps X -> Y and Y -> X, which
+usually finds the optimum). _start prices each once, and the cheapest,
+initial on a tie, is the incumbent. The root check lives in gh_exact
+for both searches: when there is a candidate and the incumbent meets
+_root_bound, gh_lower_bound's integer form, it is the answer with no
+node searched. An unseeded solve below the gate starts from the full
+product and is always searched.
 
 Two searches share one seam: each sees two lists of integer rows, the
-swap classes of each side, the candidate starts and a node budget (None
-for none), prices the candidates with _start and returns the best
-distortion, its pairs, the node count and whether the budget ran out.
-The classes are the spaces' own, IntegerView.swap_classes, computed on
-a space's first solve; neither search computes classes. One gate picks
-the search: when both sides have at least _DESCENT_MIN_SIDE points,
-gh_exact adds the pairs of _map_pair_descent to the caller's initial as
-candidates (a deterministic local search over pairs of maps X -> Y and
-Y -> X, which usually finds the optimum) and runs _threshold_search;
-below the gate it runs _branch_and_bound, which is about twice as fast
-there. Both call nothing recursively, so neither has a depth limit, and
-their node counts count different things.
+swap classes of each side, the incumbent as (value, pairs) and a node
+budget (None for none), and returns the best distortion, its pairs, the
+node count and whether the budget ran out. The classes are the spaces'
+own, IntegerView.swap_classes, computed on a space's first solve;
+neither search computes classes. One gate picks the search: at or above
+_DESCENT_MIN_SIDE points a side, _threshold_search, which also takes the
+root bound to end its rounds; below it _branch_and_bound, which is about
+twice as fast there. Both call nothing recursively, so neither has a
+depth limit, and their node counts count different things.
 
 _threshold_search proves the incumbent optimal by rounds of a decision:
 a correspondence of distortion at most delta is a clique of cells whose
-pairwise terms are at most delta. It returns at once when the incumbent
-meets _root_bound, gh_lower_bound's integer form, and it excludes the
-cells a refuted cell's swap-class twins would repeat.
+pairwise terms are at most delta. Its rounds end when one refutes delta
+or the incumbent reaches the root bound, and it excludes the cells a
+refuted cell's swap-class twins would repeat.
 
 _branch_and_bound, the reference kernel, assigns each row, in
 decreasing eccentricity order, a non-empty subset of the columns,
@@ -54,8 +62,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .correspondences import Correspondence, _check_shape, distortion, integer_distortion
+from .correspondences import Correspondence, _check_shape, integer_distortion
 from .exceptions import ResourceLimitError, ToolkitError
 from .spaces import FiniteMetricSpace, common_rows
 
@@ -91,16 +100,29 @@ def gh_lower_bound(X: FiniteMetricSpace, Y: FiniteMetricSpace) -> Fraction:
 
 def _root_bound(dA, dB) -> int:
     """gh_lower_bound over integer rows, as a bound on dis R."""
-    ecc_a = [max(row) for row in dA]
-    ecc_b = [max(row) for row in dB]
-    gap = abs(max(ecc_a) - max(ecc_b))
-    side_a = max(min(abs(a - b) for b in ecc_b) for a in ecc_a)
-    side_b = max(min(abs(a - b) for a in ecc_a) for b in ecc_b)
+    ecc_a = sorted(map(max, dA))
+    ecc_b = sorted(map(max, dB))
+    gap = abs(ecc_a[-1] - ecc_b[-1])
+    side = max(_farthest_from(ecc_a, ecc_b), _farthest_from(ecc_b, ecc_a))
     # pigeonhole: a correspondence relates two points of the larger side
     # to one point of the other, so dis R is at least their distance
     big = max(dA, dB, key=len)
-    card = min(v for row in big for v in row if v) if len(dA) != len(dB) else 0
-    return max(gap, side_a, side_b, card)
+    card = min(filter(None, chain.from_iterable(big))) if len(dA) != len(dB) else 0
+    return max(gap, side, card)
+
+
+def _farthest_from(values, ladder) -> int:
+    """max over v in values of the gap from v to the nearest of the sorted ladder."""
+    last = len(ladder) - 1
+    worst = 0
+    for v in values:
+        # ladder[i] is the least rung at or above v, or the top one; with
+        # i = 0, ladder[i - 1] is the top rung, never nearer than ladder[0]
+        i = bisect_left(ladder, v, 0, last)
+        near = min(abs(ladder[i] - v), abs(ladder[i - 1] - v))
+        if near > worst:
+            worst = near
+    return worst
 
 
 def gh_exact(
@@ -115,7 +137,8 @@ def gh_exact(
     descent adds a candidate start and the threshold search runs;
     otherwise _branch_and_bound does. An optional initial correspondence
     is a candidate start ahead of the descent's; the search starts from
-    the cheaper, initial on a tie. It never changes the returned
+    the cheaper, initial on a tie, and a start that meets the root bound
+    is the answer with no node searched. It never changes the returned
     distance, only the amount of search needed to certify it.
     """
     limits = limits or SolverLimits()
@@ -128,23 +151,32 @@ def gh_exact(
     if flip:
         dx, dy, cx, cy = dy, dx, cy, cx
     seeds = [] if initial is None else [[(b, a) if flip else (a, b) for a, b in initial.pairs]]
-    search = _branch_and_bound
-    if min(X.n, Y.n) >= _DESCENT_MIN_SIDE:
+    gated = min(X.n, Y.n) >= _DESCENT_MIN_SIDE
+    if gated:
         seeds.append(_map_pair_descent(dx, dy))
-        search = _threshold_search
-    val, pairs, nodes, spent = search(dx, dy, cx, cy, seeds, limits.node_budget)
+    val, pairs = start = _start(dx, dy, seeds)
+    low = _root_bound(dx, dy)
+    nodes, spent = 0, False
+    # a start priced at the root bound is optimal. An unseeded start, the
+    # full product, is searched whatever the bound, so unseeded solves
+    # keep their node counts and their budget stops
+    if not seeds or val > low:
+        if gated:
+            val, pairs, nodes, spent = _threshold_search(dx, dy, cx, cy, start, low, limits.node_budget)
+        else:
+            val, pairs, nodes, spent = _branch_and_bound(dx, dy, cx, cy, start, limits.node_budget)
+        # the search's witness must certify its value, or on a stop its
+        # upper bound, exactly; a mismatch is a solver bug
+        if integer_distortion(dx, dy, pairs) != val:
+            raise ToolkitError(f"witness distortion does not certify {Fraction(val, 2 * scale)}")
+    distance = Fraction(val, 2 * scale)
     if flip:
         pairs = [(b, a) for a, b in pairs]
-    distance = Fraction(val, 2 * scale)
     witness = Correspondence(frozenset(pairs), X.n, Y.n)
-    # the witness must certify the value, or on a stop the upper bound,
-    # exactly; a mismatch is a solver bug
-    if distortion(X, Y, witness) != 2 * distance:
-        raise ToolkitError(f"witness distortion does not certify {distance}")
     if spent:
         message = f"node budget {limits.node_budget} exhausted"
         raise ResourceLimitError(
-            message, lower=gh_lower_bound(X, Y), upper=distance, nodes=nodes, witness=witness
+            message, lower=Fraction(low, 2 * scale), upper=distance, nodes=nodes, witness=witness
         )
     return GhResult(distance, witness, nodes)
 
@@ -250,7 +282,8 @@ def _map_pair_descent(dA, dB):
 
 def _start(dA, dB, seeds):
     """(value, pairs) of the candidate in seeds of lowest integer_distortion,
-    the first on ties, or of the full product if there is none."""
+    the first on ties, or of the full product if there is none: the
+    incumbent either search starts from."""
     best_pairs = None
     for pairs in seeds or [[(a, b) for a in range(len(dA)) for b in range(len(dB))]]:
         val = integer_distortion(dA, dB, pairs)
@@ -259,13 +292,14 @@ def _start(dA, dB, seeds):
     return best_val, best_pairs
 
 
-def _branch_and_bound(dA, dB, cA, cB, seeds, budget):
+def _branch_and_bound(dA, dB, cA, cB, start, budget):
     """(best value, its pairs, node count, budget spent) over integer rows
-    with swap classes cA and cB, starting from _start's incumbent."""
+    with swap classes cA and cB, starting from the incumbent start, a
+    (value, pairs) of _start."""
     na, nb = len(dA), len(dB)
     last = na - 1
     full_cols = (1 << nb) - 1
-    best_val, best_pairs = _start(dA, dB, seeds)
+    best_val, best_pairs = start
 
     ecc = [max(row) for row in dA]
     order = sorted(range(na), key=lambda r: (-ecc[r], cA[r], r))
@@ -389,11 +423,11 @@ def _branch_and_bound(dA, dB, cA, cB, seeds, budget):
 # --------------------------------------------------------- threshold search
 
 
-def _threshold_search(dA, dB, cA, cB, seeds, budget):
+def _threshold_search(dA, dB, cA, cB, start, low, budget):
     """(best value, its pairs, node count, budget spent) over integer rows
-    with swap classes cA and cB, starting from _start's incumbent, by
-    rounds of a decision: is there a correspondence of distortion at most
-    delta = incumbent - 1?
+    with swap classes cA and cB, starting from the incumbent start, a
+    (value, pairs) of _start, by rounds of a decision: is there a
+    correspondence of distortion at most delta = incumbent - 1?
 
     dis R <= delta exactly when every two cells of R are delta-compatible
     (Memoli 2007), so a round looks for a clique of compatible cells that
@@ -404,11 +438,10 @@ def _threshold_search(dA, dB, cA, cB, seeds, budget):
     takes one and excludes the siblings tried before it, and a node dies
     when some open line has none left. A clique covering every line is
     the next incumbent; the rounds end when one refutes delta or the
-    incumbent reaches _root_bound.
+    incumbent reaches low, the pair's _root_bound.
     """
     na, nb = len(dA), len(dB)
-    best_val, best_pairs = _start(dA, dB, seeds)
-    low = _root_bound(dA, dB)
+    best_val, best_pairs = start
     nodes = 0
     # lines 0..na-1 are the rows, na..na+nb-1 the columns
     lines = [((1 << nb) - 1) << (a * nb) for a in range(na)]

@@ -16,10 +16,12 @@ from ghsegments import (
     build_segment_family,
     diameter,
     distortion,
+    endpoint_lifts,
     full_product,
     geodesic_samples,
     gh_exact,
     gh_lower_bound,
+    interpolate,
     isolation_radius,
     minimize_correspondence,
     random_metric_space,
@@ -99,14 +101,19 @@ class TestOracleEquivalence:
             assert dis == 2 * res.distance
 
     def test_wrong_witness_raises_under_python_O(self) -> None:
-        # -O strips asserts; the check that certifies a witness must stay
+        # -O strips asserts; the check that certifies a witness must stay.
+        # The search claims one less than its pairs' distortion
         proc = run_python(
             "-O",
             "-c",
             "import sys\n"
             "import ghsegments.solver as s\n"
             "from ghsegments import ToolkitError, random_metric_space as r\n"
-            "s.distortion = lambda X, Y, R: -1\n"
+            "real = s._branch_and_bound\n"
+            "def wrong(*args):\n"
+            "    val, pairs, nodes, spent = real(*args)\n"
+            "    return val - 1, pairs, nodes, spent\n"
+            "s._branch_and_bound = wrong\n"
             "try:\n"
             "    s.gh_exact(r(3, seed=1), r(3, seed=2))\n"
             "except ToolkitError as exc:\n"
@@ -190,6 +197,65 @@ class TestSeeding:
         assert (got.distance, got.nodes_explored) == (want.distance, want.nodes_explored)
 
 
+class TestRootStart:
+    """gh_exact prices the candidate starts once; when the best meets the
+    root bound it is the answer, and neither search runs."""
+
+    def test_root_tight_seed_answers_below_the_gate(self) -> None:
+        # every correspondence of simplex(n) and simplex(n + 1) meets the
+        # pigeonhole bound. Unseeded, the search spends nodes all the same;
+        # seeded with its witness, the solve spends none, so even a budget
+        # of 0 nodes is no stop. A seed above the bound is searched from,
+        # and with no node to spend it is the stop's witness
+        rng = random.Random(4110)
+        cases = [(simplex(n, 1), simplex(n + 1, 1)) for n in range(2, 6)]
+        cases += [(random_space(rng, rng.randint(2, 5)), random_space(rng, rng.randint(2, 5))) for _ in range(60)]
+        tight = 0
+        for X, Y in cases:
+            plain, low = gh_exact(X, Y), gh_lower_bound(X, Y)
+            assert plain.nodes_explored > 0
+            if plain.distance > low:
+                with pytest.raises(ResourceLimitError) as exc:
+                    gh_exact(X, Y, SolverLimits(node_budget=0), initial=plain.optimal)
+                err = exc.value
+                assert (err.nodes, err.lower, err.upper) == (0, low, plain.distance)
+                assert err.witness == plain.optimal
+                continue
+            for limits in (None, SolverLimits(node_budget=0)):
+                res = gh_exact(X, Y, limits, initial=plain.optimal)
+                assert (res.distance, res.nodes_explored, res.optimal) == (low, 0, plain.optimal)
+            tight += 1
+        assert tight >= 30
+
+    def test_seeded_solves_agree(self) -> None:
+        # three kinds of seed on random pairs of 2-6 points: the unseeded
+        # witness, the endpoint lifts into a geodesic sample R_t, and a
+        # random correspondence above the optimum. Every seeded answer
+        # agrees with oracle_gh where it can enumerate, and with the
+        # unseeded solve elsewhere, and its witness realises it
+        rng = random.Random(4111)
+        solves = above = 0
+        for _ in range(300):
+            X, Y = random_space(rng, rng.randint(2, 6)), random_space(rng, rng.randint(2, 6))
+            plain = gh_exact(X, Y)
+            R = minimize_correspondence(plain.optimal)
+            S = interpolate(X, Y, R, Fraction(rng.randint(1, 3), 4)).realized
+            left, right = endpoint_lifts(R)
+            seeds = {(X, Y): [plain.optimal], (X, S): [left], (S, Y): [right]}
+            for _ in range(5):
+                worse = random_correspondence(rng, X.n, Y.n)
+                if distortion(X, Y, worse) > 2 * plain.distance:
+                    seeds[X, Y].append(worse)
+                    above += 1
+                    break
+            for (A, B), initials in seeds.items():
+                want = oracle_gh(rows(A), rows(B)) if A.n * B.n <= 12 else gh_exact(A, B).distance
+                for seed in initials:
+                    assert gh_exact(A, B, initial=seed).distance == want
+                    solves += 1
+        assert above >= 250 and solves == 900 + above
+
+
 class TestMapPairDescent:
     """The descent that seeds gh_exact on pairs of at least
     _DESCENT_MIN_SIDE points on each side."""
@@ -267,8 +333,8 @@ class TestThresholdSearch:
             cA, cB = X.view.swap_classes, Y.view.swap_classes
             if Y.n > X.n:  # gh_exact's orientation
                 dA, dB, cA, cB = dB, dA, cB, cA
-            seeds = [solver._map_pair_descent(dA, dB)]
-            val, _, _, spent = solver._branch_and_bound(dA, dB, cA, cB, seeds, 20_000)
+            start = solver._start(dA, dB, [solver._map_pair_descent(dA, dB)])
+            val, _, _, spent = solver._branch_and_bound(dA, dB, cA, cB, start, 20_000)
             res = gh_exact(X, Y)
             want = Fraction(val, 2 * scale)
             assert res.distance <= want if spent else res.distance == want
