@@ -26,18 +26,20 @@ Two searches share one seam: each sees two lists of integer rows, the
 swap classes of each side, the incumbent as (value, pairs) and a node
 budget (None for none), and returns the best distortion, its pairs, the
 node count and whether the budget ran out. The classes are the spaces'
-own, IntegerView.swap_classes, computed on a space's first solve;
-neither search computes classes. One gate picks the search: at or above
-_DESCENT_MIN_SIDE points a side, _threshold_search, which also takes the
-root bound to end its rounds; below it _branch_and_bound, which is about
-twice as fast there. Both call nothing recursively, so neither has a
-depth limit, and their node counts count different things.
+own, IntegerView.swap_classes, computed on a space's first searched
+solve; neither search computes classes. One gate picks the search: at or
+above _DESCENT_MIN_SIDE points a side, _threshold_search, which also
+takes the root bound to stop early; below it _branch_and_bound, which is
+about twice as fast there. Both call nothing recursively, so neither has
+a depth limit, and their node counts count different things.
 
-_threshold_search proves the incumbent optimal by rounds of a decision:
-a correspondence of distortion at most delta is a clique of cells whose
-pairwise terms are at most delta. Its rounds end when one refutes delta
-or the incumbent reaches the root bound, and it excludes the cells a
-refuted cell's swap-class twins would repeat.
+_threshold_search is one depth-first tree with no rounds: a
+correspondence of distortion at most delta = incumbent - 1 is a clique
+of cells whose pairwise terms are at most delta. A clique it finds is
+the next incumbent, and delta tightens in place, in a new epoch; the
+tree ends when it empties, which refutes delta, or when the incumbent
+reaches the root bound. It excludes the cells a refuted cell's
+swap-class twins would repeat.
 
 _branch_and_bound, the reference kernel, assigns each row, in
 decreasing eccentricity order, a non-empty subset of the columns,
@@ -145,11 +147,9 @@ def gh_exact(
     if initial is not None:
         _check_shape(initial, X, Y)
     dx, dy, scale = common_rows(X, Y)
-    cx, cy = X.view.swap_classes, Y.view.swap_classes
     # rows range over the larger space so each branching step stays narrow
     flip = Y.n > X.n
-    if flip:
-        dx, dy, cx, cy = dy, dx, cy, cx
+    A, B, dx, dy = (Y, X, dy, dx) if flip else (X, Y, dx, dy)
     seeds = [] if initial is None else [[(b, a) if flip else (a, b) for a, b in initial.pairs]]
     gated = min(X.n, Y.n) >= _DESCENT_MIN_SIDE
     if gated:
@@ -161,6 +161,8 @@ def gh_exact(
     # full product, is searched whatever the bound, so unseeded solves
     # keep their node counts and their budget stops
     if not seeds or val > low:
+        # a space is classified on its first searched solve, not before
+        cx, cy = A.view.swap_classes, B.view.swap_classes
         if gated:
             val, pairs, nodes, spent = _threshold_search(dx, dy, cx, cy, start, low, limits.node_budget)
         else:
@@ -233,6 +235,7 @@ def _map_pair_descent(dA, dB):
     xs = list(range(na)) + nearest(ecc_b, ecc_a)
     ys = nearest(ecc_a, ecc_b) + list(range(nb))
     n = na + nb
+    ladders_a, ladders_b = _ladders(dA), _ladders(dB)
 
     def terms(x, y):
         # an item at (x, y) against every item; placed at index i, it
@@ -248,15 +251,27 @@ def _map_pair_descent(dA, dB):
     while worst and moves < _DESCENT_MOVES and idle < n:
         if counts[i]:
             # item i's best reassignment: fewest worst terms, then the
-            # lowest largest term; none may exceed the worst
+            # lowest largest term. None may exceed the worst, so only the
+            # placements in the window of the sorted row of each other
+            # item's point on the moving side are priced
             x0, y0 = xs[i], ys[i]
+            if i < na:
+                fixed, other, moving, (vals, prefix), ok = dA[x0], xs, ys, ladders_b, (1 << nb) - 1
+            else:
+                fixed, other, moving, (vals, prefix), ok = dB[y0], ys, xs, ladders_a, (1 << na) - 1
+            for k in chain(range(i), range(i + 1, n)):
+                v, m = fixed[other[k]], moving[k]
+                lo = bisect_left(vals[m], v - worst)
+                ok &= prefix[m][bisect_right(vals[m], v + worst, lo)] ^ prefix[m][lo]
             best, key = None, (counts[i], worst)
-            for x, y in ((x0, b) for b in range(nb)) if i < na else ((a, y0) for a in range(na)):
-                xs[i], ys[i] = x, y
+            while ok:
+                t = (ok & -ok).bit_length() - 1
+                ok &= ok - 1
+                xs[i], ys[i] = x, y = (x0, t) if i < na else (t, y0)
                 row = terms(x, y)
                 top = max(row)
                 got = (row.count(worst) if top == worst else 0, top)
-                if top <= worst and got < key:
+                if got < key:
                     best, key, best_row = (x, y), got, row
             xs[i], ys[i] = best or (x0, y0)
             if best is not None:
@@ -275,6 +290,21 @@ def _map_pair_descent(dA, dB):
         i = (i + 1) % n
         idle += 1
     return sorted(set(zip(xs, ys)))
+
+
+def _ladders(rows):
+    """(vals, prefix): each row's values in increasing order, and the masks
+    of its first k indices in that order, so the indices whose value lies
+    in [lo, hi] are two bisections away."""
+    vals, prefix = [], []
+    for row in rows:
+        order = sorted(range(len(row)), key=row.__getitem__)
+        masks = [0]
+        for k in order:
+            masks.append(masks[-1] | 1 << k)
+        vals.append([row[k] for k in order])
+        prefix.append(masks)
+    return vals, prefix
 
 
 # ---------------------------------------------------------- branch and bound
@@ -425,24 +455,30 @@ def _branch_and_bound(dA, dB, cA, cB, start, budget):
 
 def _threshold_search(dA, dB, cA, cB, start, low, budget):
     """(best value, its pairs, node count, budget spent) over integer rows
-    with swap classes cA and cB, starting from the incumbent start, a
-    (value, pairs) of _start, by rounds of a decision: is there a
-    correspondence of distortion at most delta = incumbent - 1?
+    with swap classes cA and cB, from the incumbent start, a (value, pairs)
+    of _start above low, the pair's _root_bound, by one depth-first search
+    for a correspondence of distortion at most delta = incumbent - 1.
 
     dis R <= delta exactly when every two cells of R are delta-compatible
-    (Memoli 2007), so a round looks for a clique of compatible cells that
-    covers every line, row or column. Cell (a, b) is bit a * nb + b, and
-    comp[c] is the mask of the cells compatible with c, built when the
-    round first picks c. A node holds the cells compatible with all it
+    (Memoli 2007), so the search looks for a clique of compatible cells
+    that covers every line, row or column. Cell (a, b) is bit a * nb + b,
+    and comp[c] is the mask of the cells compatible with c, built when the
+    epoch first picks c. A node holds the cells compatible with all it
     chose and branches on the open line with the fewest of them; a child
     takes one and excludes the siblings tried before it, and a node dies
-    when some open line has none left. A clique covering every line is
-    the next incumbent; the rounds end when one refutes delta or the
-    incumbent reaches low, the pair's _root_bound.
+    when some open line has none left.
+
+    A clique covering every line is the next incumbent. The search returns
+    if it meets low; otherwise delta tightens in place and the search
+    backtracks, as exact clique branch and bound does (Carraghan & Pardalos
+    1990): a new epoch empties comp, and an entry pushed in an older one is
+    refiltered by its path before use. A subtree exhausted at a looser
+    delta holds no clique at a tighter one, so the exclusions of earlier
+    siblings stand. An empty stack refutes delta: the incumbent is optimal.
     """
     na, nb = len(dA), len(dB)
     best_val, best_pairs = start
-    nodes = 0
+    nodes, epoch, delta = 0, 0, best_val - 1
     # lines 0..na-1 are the rows, na..na+nb-1 the columns
     lines = [((1 << nb) - 1) << (a * nb) for a in range(na)]
     lines += [sum(1 << (a * nb + b) for a in range(na)) for b in range(nb)]
@@ -453,82 +489,86 @@ def _threshold_search(dA, dB, cA, cB, start, low, budget):
     for ln, c in enumerate(cls):
         classes.setdefault(c, []).append(ln)
     mates = [classes[c] for c in cls]
-    # each row of dB sorted, with prefix masks of its columns in that order,
-    # so the columns within delta of a value are two bisections away
-    sort_b = [sorted(range(nb), key=row.__getitem__) for row in dB]
-    vals_b = [[row[k] for k in order] for row, order in zip(dB, sort_b)]
-    prefix_b = []
-    for order in sort_b:
-        masks = [0]
-        for k in order:
-            masks.append(masks[-1] | 1 << k)
-        prefix_b.append(masks)
+    vals_b, prefix_b = _ladders(dB)
+    comp = [None] * (na * nb)
+
+    def compatible(c):
+        # the cells delta-compatible with c, built on the epoch's first ask
+        a, b = divmod(c, nb)
+        vb, pb = vals_b[b], prefix_b[b]
+        mask = 0
+        for v, sh in zip(dA[a], shift):
+            lo = bisect_left(vb, v - delta)
+            mask |= (pb[bisect_right(vb, v + delta, lo)] ^ pb[lo]) << sh
+        comp[c] = mask
+        return mask
+
     all_cells, all_lines = (1 << na * nb) - 1, (1 << na + nb) - 1
-    while best_val > low:
-        delta = best_val - 1
-        comp = [None] * (na * nb)
-        # an entry (cand, open, path, cells, twins, i) takes cells[i] on top
-        # of the cells in path; the root entry takes nothing
-        stack = [(all_cells, all_lines, None, None, None, 0)]
-        while stack:
-            cand, open_, path, cells, twins, i = stack.pop()
-            if cells is not None:
-                if i + 1 < len(cells):
-                    stack.append((cand & ~twins[i], open_, path, cells, twins, i + 1))
-                c = cells[i]
-                a, b = divmod(c, nb)
-                mask = comp[c]
-                if mask is None:
-                    da, vb, pb = dA[a], vals_b[b], prefix_b[b]
-                    mask = 0
-                    for a2 in range(na):
-                        lo = bisect_left(vb, da[a2] - delta)
-                        hi = bisect_right(vb, da[a2] + delta, lo)
-                        mask |= (pb[hi] ^ pb[lo]) << (a2 * nb)
-                    comp[c] = mask
-                cand &= mask
-                open_ &= ~(1 << a | 1 << (na + b))
-                path = (c, path)
-            if budget is not None and nodes >= budget:
-                return best_val, best_pairs, nodes, True
-            nodes += 1
-            if not open_:
-                pairs = []
-                while path:
-                    c, path = path
-                    pairs.append(divmod(c, nb))
-                best_val, best_pairs = integer_distortion(dA, dB, pairs), pairs
-                break
-            line, fewest = None, na * nb + 1
-            rest = open_
-            while rest:
-                low_bit = rest & -rest
-                ln = low_bit.bit_length() - 1
-                k = (cand & lines[ln]).bit_count()
-                if k < fewest:
-                    line, fewest = ln, k
-                    if not k:
-                        break
-                rest ^= low_bit
-            if not fewest:
+    # an entry (cand, open, path, cells, twins, i, age) takes cells[i] on
+    # top of the cells in path, a tuple; age is the epoch it was pushed in.
+    # The root entry takes nothing
+    stack = [(all_cells, all_lines, (), None, None, 0, 0)]
+    while stack:
+        cand, open_, path, cells, twins, i, age = stack.pop()
+        if cells is not None:
+            if age != epoch:
+                # delta tightened since the push: keep the candidates
+                # compatible with every path cell now, and drop the entry
+                # if two path cells no longer are
+                for p in path:
+                    cand &= comp[p] or compatible(p)
+                if any(not cand >> p & 1 for p in path):
+                    continue
+            if i + 1 < len(cells):
+                stack.append((cand & ~twins[i], open_, path, cells, twins, i + 1, epoch))
+            c = cells[i]
+            if not cand >> c & 1:  # a tightening dropped it since the listing
                 continue
-            # an open line of the same swap class with the same candidates
-            # is the branching line's image under a transposition that fixes
-            # this node, so a cell refuted here is refuted there too
-            own = (cand & lines[line]) >> shift[line]
-            images = [
-                shift[ln] - shift[line]
-                for ln in mates[line]
-                if ln != line and open_ >> ln & 1 and (cand & lines[ln]) >> shift[ln] == own
-            ]
-            cells, twins = [], []
-            while own:
-                low_bit = own & -own
-                c = shift[line] + low_bit.bit_length() - 1
-                cells.append(c)
-                twins.append(sum(1 << (c + d) for d in images) | 1 << c)
-                own ^= low_bit
-            stack.append((cand, open_, path, cells, twins, 0))
+            a, b = divmod(c, nb)
+            cand &= comp[c] or compatible(c)
+            open_ &= ~(1 << a | 1 << (na + b))
+            path += (c,)
+        if budget is not None and nodes >= budget:
+            return best_val, best_pairs, nodes, True
+        nodes += 1
+        if not open_:
+            best_pairs = [divmod(c, nb) for c in path]
+            best_val = integer_distortion(dA, dB, best_pairs)
+            if best_val <= low:
+                break
+            delta, epoch = best_val - 1, epoch + 1
+            comp = [None] * (na * nb)
+            continue
+        line, fewest = None, na * nb + 1
+        rest = open_
+        while rest:
+            low_bit = rest & -rest
+            ln = low_bit.bit_length() - 1
+            k = (cand & lines[ln]).bit_count()
+            if k < fewest:
+                line, fewest = ln, k
+                if not k:
+                    break
+            rest ^= low_bit
+        if not fewest:
+            continue
+        # an open line of the same swap class with the same candidates
+        # is the branching line's image under a transposition that fixes
+        # this node, so a cell refuted here is refuted there too
+        own = (cand & lines[line]) >> shift[line]
+        images = [
+            shift[ln] - shift[line]
+            for ln in mates[line]
+            if ln != line and open_ >> ln & 1 and (cand & lines[ln]) >> shift[ln] == own
+        ]
+        cells = []
+        while own:
+            low_bit = own & -own
+            cells.append(shift[line] + low_bit.bit_length() - 1)
+            own ^= low_bit
+        if images:
+            twins = [sum(1 << (c + d) for d in images) | 1 << c for c in cells]
         else:
-            break  # the round refuted delta: the incumbent is optimal
+            twins = [1 << c for c in cells]
+        stack.append((cand, open_, path, cells, twins, 0, epoch))
     return best_val, best_pairs, nodes, False

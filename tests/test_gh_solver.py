@@ -308,6 +308,29 @@ class TestMapPairDescent:
         assert gh_exact(S6, S7, initial=full_product(6, 7)).optimal == full_product(6, 7)
         assert gh_exact(S6, S7).optimal != full_product(6, 7)
 
+    # sha256 of the repr of the descent's pairs on the corpus below, as
+    # recorded when every placement was priced: the descent skips only
+    # placements with a term past the worst, which pricing rejects anyway
+    PAIRS_DIGEST = "5a8c47c95ee1feca"
+
+    def test_pairs_are_pinned(self) -> None:
+        # random pairs at 6-40 points, graft blow-ups (twins on one side)
+        # and simplex pairs (every term ties), both orientations
+        rng = random.Random(4300)
+        cases = []
+        for _ in range(24):
+            X, Y = random_space(rng, rng.randint(6, 40)), random_space(rng, rng.randint(6, 40))
+            cases += [(X, Y), (Y, X)]
+        for _ in range(6):
+            Z = random_space(rng, rng.randint(3, 6))
+            z = _pick_z_star(Z)
+            W = simplex_graft(Z, GraftParams(z, isolation_radius(Z, z), rng.randint(4, 30)))
+            Y = random_space(rng, rng.randint(6, 30))
+            cases += [(W, Y), (Y, W)]
+        cases += [(simplex(n, 1), simplex(n + k, 1)) for n, k in ((6, 1), (9, 4), (20, 1))]
+        descents = [solver._map_pair_descent(*common_rows(X, Y)[:2]) for X, Y in cases]
+        assert hashlib.sha256(repr(descents).encode()).hexdigest()[:16] == self.PAIRS_DIGEST
+
 
 class TestThresholdSearch:
     """The clique search gh_exact runs on pairs of at least
@@ -343,6 +366,68 @@ class TestThresholdSearch:
             assert oracle_distortion(rows(X), rows(Y), pairs) == 2 * res.distance
         assert stops == 30  # the reference answers the other 170
 
+    def test_one_tree_agrees_with_the_references(self) -> None:
+        # 330 seeded pairs at 6-10 points: random pairs, graft blow-ups
+        # (twins on one side) and simplices (all twins) against random
+        # spaces. The search runs from the descent's start, as gh_exact
+        # runs it, and from the full product, from which it tightens delta
+        # about 8 times a pair in one tree; both give the same value, with
+        # witnesses that realise it, and the reference kernel, started at
+        # that value, finds nothing below it
+        rng = random.Random(4301)
+        refuted = 0
+        for i in range(330):
+            Y = random_space(rng, rng.randint(6, 10))
+            if i % 3 == 0:
+                X = random_space(rng, rng.randint(6, 10))
+            elif i % 3 == 1:
+                Z = random_space(rng, rng.randint(3, 5))
+                z = _pick_z_star(Z)
+                X = simplex_graft(Z, GraftParams(z, isolation_radius(Z, z), rng.randint(7 - Z.n, 11 - Z.n)))
+            else:
+                X = simplex(rng.randint(6, 10), Fraction(rng.randint(1, 24), 12))
+            if Y.n > X.n:  # gh_exact's orientation
+                X, Y = Y, X
+            dA, dB, scale = common_rows(X, Y)
+            cA, cB = X.view.swap_classes, Y.view.swap_classes
+            low = solver._root_bound(dA, dB)
+            values = set()
+            for seeds in ([solver._map_pair_descent(dA, dB)], []):
+                # gh_exact searches only from a start above the root bound
+                val, pairs = start = solver._start(dA, dB, seeds)
+                if val > low:
+                    val, pairs, _, spent = solver._threshold_search(dA, dB, cA, cB, start, low, 100_000)
+                    assert not spent
+                assert oracle_distortion(rows(X), rows(Y), pairs) == Fraction(val, scale)
+                values.add(val)
+            assert values == {val}
+            if val > low:
+                ref, _, _, spent = solver._branch_and_bound(dA, dB, cA, cB, (val, pairs), 20_000)
+                assert ref == val
+                refuted += not spent
+        assert refuted == 160  # of 179 pairs above the root bound; 19 spend the 20k nodes
+
+    def test_one_tree_agrees_with_the_oracle(self) -> None:
+        # the search from the full product on 2-4-point pairs of at most 12
+        # cells, against oracle_gh; one time in three a 4-point side is a
+        # graft blow-up with three twins
+        rng = random.Random(4302)
+        for i in range(300):
+            nx, ny = rng.choice([(2, 2), (3, 2), (4, 2), (3, 3), (4, 3)])
+            X, Y = random_space(rng, nx), random_space(rng, ny)
+            if i % 3 == 0 and nx == 4:
+                Z = random_space(rng, 2)
+                X = simplex_graft(Z, GraftParams(0, isolation_radius(Z, 0), 3))
+            dA, dB, scale = common_rows(X, Y)
+            val, pairs = start = solver._start(dA, dB, [])
+            low = solver._root_bound(dA, dB)
+            if val > low:
+                val, pairs, _, _ = solver._threshold_search(
+                    dA, dB, X.view.swap_classes, Y.view.swap_classes, start, low, None
+                )
+            assert Fraction(val, 2 * scale) == oracle_gh(rows(X), rows(Y))
+            assert oracle_distortion(rows(X), rows(Y), pairs) == Fraction(val, scale)
+
     def test_twin_rule(self, monkeypatch) -> None:
         # twelve swappable graft points: a cell refuted on one of them is
         # refuted on each twin with the same candidates, and without that
@@ -351,7 +436,7 @@ class TestThresholdSearch:
         W = simplex_graft(Z, GraftParams(0, isolation_radius(Z, 0), 12))
         Y = random_metric_space(7, seed=91)
         res = gh_exact(W, Y)
-        assert (res.distance, res.nodes_explored) == (Fraction(7, 6), 1271)
+        assert (res.distance, res.nodes_explored) == (Fraction(7, 6), 1252)
         assert oracle_distortion(rows(W), rows(Y), res.optimal.sorted_pairs()) == Fraction(7, 3)
         # without the root bound, simplex(10) against simplex(9) is all twins
         S10, S9 = simplex(10, 1), simplex(9, 1)
@@ -448,9 +533,9 @@ class TestPinnedSearch:
     DISTANCES_AND_NODES = [
         ("1/2", 3), ("1/2", 7), ("1/2", 15), ("1/2", 31), ("1/2", 0), ("1/2", 0),
         ("1/2", 0), ("1/2", 0), ("1/6", 3), ("1/6", 3), ("29/24", 77), ("29/24", 77),
-        ("7/2", 20), ("7/2", 20), ("11/8", 127), ("11/8", 148), ("35/8", 53), ("35/8", 53),
-        ("11/12", 193), ("11/12", 193), ("7/6", 8), ("7/6", 9), ("13/6", 3),
-        ("13/6", 4), ("13/12", 181), ("13/12", 17), ("5/6", 51), ("5/6", 29), ("11/2", 5),
+        ("7/2", 20), ("7/2", 20), ("11/8", 69), ("11/8", 76), ("35/8", 53), ("35/8", 53),
+        ("11/12", 80), ("11/12", 80), ("7/6", 8), ("7/6", 9), ("13/6", 3),
+        ("13/6", 4), ("13/12", 181), ("13/12", 17), ("5/6", 21), ("5/6", 20), ("11/2", 5),
         ("5/4", 19), ("11/12", 18), ("9/8", 6),
     ]  # fmt: skip
     WITNESS_DIGEST = "af7e5ea55d4a16e5"  # sha256 of the repr of every sorted witness
@@ -486,7 +571,7 @@ class TestPinnedSearch:
     # random 8x8 pairs on which _branch_and_bound searches deeply: three
     # solves of 2.7k-22k nodes and one stop at the default budget
     DEEP_SEEDS = (16, 34, 25, 14)
-    DEEP_OUTCOMES = [("3/4", 450), ("17/12", 121), ("7/6", 70), ("29/24", 142)]
+    DEEP_OUTCOMES = [("3/4", 131), ("17/12", 51), ("7/6", 80), ("29/24", 108)]
     DEEP_WITNESS_DIGEST = "afc057661a6e946a"  # sha256 of the repr of every sorted witness
 
     def test_deep_searches(self) -> None:
@@ -504,7 +589,7 @@ class TestPinnedSearch:
         # and stops with the bracket [1/2, 35/24]
         X, Y = random_metric_space(12, seed=101), random_metric_space(12, seed=201)
         res = gh_exact(X, Y)
-        assert (res.distance, res.nodes_explored) == (Fraction(2, 3), 222)
+        assert (res.distance, res.nodes_explored) == (Fraction(2, 3), 214)
         pairs = res.optimal.sorted_pairs()
         assert oracle_distortion(rows(X), rows(Y), pairs) == 2 * res.distance
 
@@ -567,19 +652,25 @@ class TestSymmetryClasses:
                 assert list(Y.view.swap_classes) == brute_classes(dy)
 
     def test_each_side_is_classified_once(self, monkeypatch) -> None:
-        # repeated solves of one pair, down each search, read the classes
-        # each view computed on its first solve
+        # repeated searched solves of one pair, down each search, read the
+        # classes each view computed on its first searched solve; a solve
+        # answered at the root reads none
         prop = IntegerView.__dict__["swap_classes"]
         computed = []
         real = prop.func
         monkeypatch.setattr(prop, "func", lambda view: computed.append(view) or real(view))
         for n in (4, 7):
-            X, Y = random_metric_space(n, seed=n), simplex(n + 1, 1)
+            X, Y = random_metric_space(n, seed=n), random_metric_space(n, seed=70 + n)
             for _ in range(3):
-                gh_exact(X, Y)
-                gh_exact(Y, X)
+                assert gh_exact(X, Y).nodes_explored > 0
+                assert gh_exact(Y, X).nodes_explored > 0
             assert computed == [X.view, Y.view]
             computed.clear()
+        # simplex(7) against simplex(8) meets the root bound from the
+        # descent's start, simplex(3) against simplex(4) from its seed
+        assert gh_exact(simplex(7, 1), simplex(8, 1)).nodes_explored == 0
+        assert gh_exact(simplex(3, 1), simplex(4, 1), initial=full_product(3, 4)).nodes_explored == 0
+        assert computed == []
 
 
 class TestNumericRanges:
