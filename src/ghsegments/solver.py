@@ -456,8 +456,8 @@ def _branch_and_bound(dA, dB, cA, cB, start, budget):
 def _threshold_search(dA, dB, cA, cB, start, low, budget):
     """(best value, its pairs, node count, budget spent) over integer rows
     with swap classes cA and cB, from the incumbent start, a (value, pairs)
-    of _start above low, the pair's _root_bound, by one depth-first search
-    for a correspondence of distortion at most delta = incumbent - 1.
+    of _start, by one depth-first search for a correspondence of distortion
+    at most delta = incumbent - 1; 0 nodes if start meets low, _root_bound.
 
     dis R <= delta exactly when every two cells of R are delta-compatible
     (Memoli 2007), so the search looks for a clique of compatible cells
@@ -506,8 +506,8 @@ def _threshold_search(dA, dB, cA, cB, start, low, budget):
     all_cells, all_lines = (1 << na * nb) - 1, (1 << na + nb) - 1
     # an entry (cand, open, path, cells, twins, i, age) takes cells[i] on
     # top of the cells in path, a tuple; age is the epoch it was pushed in.
-    # The root entry takes nothing
-    stack = [(all_cells, all_lines, (), None, None, 0, 0)]
+    # The root entry takes nothing; a start that meets low needs no search
+    stack = [(all_cells, all_lines, (), None, None, 0, 0)] if best_val > low else []
     while stack:
         cand, open_, path, cells, twins, i, age = stack.pop()
         if cells is not None:
@@ -566,9 +566,9 @@ def _threshold_search(dA, dB, cA, cB, start, low, budget):
             low_bit = own & -own
             cells.append(shift[line] + low_bit.bit_length() - 1)
             own ^= low_bit
-        if images:
-            twins = [sum(1 << (c + d) for d in images) | 1 << c for c in cells]
-        else:
-            twins = [1 << c for c in cells]
+        # each cell with its images on the mates; most lines have none
+        twins = [1 << c for c in cells]
+        for d in images:
+            twins = [t | 1 << (c + d) for t, c in zip(twins, cells)]
         stack.append((cand, open_, path, cells, twins, 0, epoch))
     return best_val, best_pairs, nodes, False

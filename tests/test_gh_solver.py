@@ -393,11 +393,10 @@ class TestThresholdSearch:
             low = solver._root_bound(dA, dB)
             values = set()
             for seeds in ([solver._map_pair_descent(dA, dB)], []):
-                # gh_exact searches only from a start above the root bound
-                val, pairs = start = solver._start(dA, dB, seeds)
-                if val > low:
-                    val, pairs, _, spent = solver._threshold_search(dA, dB, cA, cB, start, low, 100_000)
-                    assert not spent
+                # a start that meets the root bound is returned with 0 nodes
+                start = solver._start(dA, dB, seeds)
+                val, pairs, nodes, spent = solver._threshold_search(dA, dB, cA, cB, start, low, 100_000)
+                assert not spent and (start[0] > low or (nodes, val) == (0, start[0]))
                 assert oracle_distortion(rows(X), rows(Y), pairs) == Fraction(val, scale)
                 values.add(val)
             assert values == {val}
@@ -419,12 +418,11 @@ class TestThresholdSearch:
                 Z = random_space(rng, 2)
                 X = simplex_graft(Z, GraftParams(0, isolation_radius(Z, 0), 3))
             dA, dB, scale = common_rows(X, Y)
-            val, pairs = start = solver._start(dA, dB, [])
+            start = solver._start(dA, dB, [])
             low = solver._root_bound(dA, dB)
-            if val > low:
-                val, pairs, _, _ = solver._threshold_search(
-                    dA, dB, X.view.swap_classes, Y.view.swap_classes, start, low, None
-                )
+            val, pairs, _, _ = solver._threshold_search(
+                dA, dB, X.view.swap_classes, Y.view.swap_classes, start, low, None
+            )
             assert Fraction(val, 2 * scale) == oracle_gh(rows(X), rows(Y))
             assert oracle_distortion(rows(X), rows(Y), pairs) == Fraction(val, scale)
 
